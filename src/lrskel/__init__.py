@@ -23,14 +23,12 @@ from .layers import (
     MhsaBlock,
     attention_forward,
     backward,
-    mhsa_forward,
     softmax_rows,
 )
 from .linalg import (
     SvdConvergenceError,
     SvdResult,
     TruncatedFactors,
-    matmul,
     reconstruction_error,
     svd,
     truncate_to_factors,

@@ -114,7 +114,7 @@ def _load_splits(data_dir):
     return load_dataset(train_path), load_dataset(test_path)
 
 
-def _train_config(settings, defaults):
+def _train_config(settings):
     _positive(settings, "epochs", "batch")
     if _as_float(settings, "lr") < 0:
         raise UsageError("--lr must be non-negative")
@@ -162,14 +162,13 @@ def cmd_gen(args):
 
 
 def cmd_train(args):
-    defaults = {**MODEL_DEFAULTS, **TRAIN_DEFAULTS}
-    settings = _resolve(args, defaults, {
+    settings = _resolve(args, {**MODEL_DEFAULTS, **TRAIN_DEFAULTS}, {
         "data": args.data, "out": args.out, "history": args.history,
     })
     _positive(settings, "d_model", "heads")
     if _as_int(settings, "blocks") < 0:
         raise UsageError("--blocks must be >= 0")
-    tcfg = _train_config(settings, defaults)
+    tcfg = _train_config(settings)
     train_samples, test_samples = _load_splits(args.data)
     if not train_samples or not test_samples:
         raise ValueError("dataset is empty")
@@ -225,7 +224,7 @@ def cmd_sweep(args):
         "grid": args.grid, "out": args.out,
     })
     model = load_model(args.weights)
-    _, test_samples = _load_splits(args.data)
+    test_samples = load_dataset(os.path.join(args.data, TEST_FILE))
     grid = []
     with open(args.grid) as fh:
         for line in fh:
@@ -248,7 +247,7 @@ def cmd_finetune(args):
         "weights": args.weights, "data": args.data,
         "out": args.out, "history": args.history,
     })
-    tcfg = _train_config(settings, FINETUNE_DEFAULTS)
+    tcfg = _train_config(settings)
     model = load_model(args.weights)
     train_samples, test_samples = _load_splits(args.data)
     tuned, history = train(model, train_samples, test_samples, tcfg)

@@ -9,7 +9,6 @@ parameter, FLOP, and reconstruction-error cost of the whole model.
 from __future__ import annotations
 
 import csv
-import datetime
 import io
 from dataclasses import dataclass
 
@@ -17,9 +16,11 @@ import numpy as np
 
 from .layers import LowRankLinear
 from .linalg import frobenius, reconstruction_error, svd, truncate_to_factors
-from .model import SkeletonModel, count_flops, count_params, map_layers, named_layers
+from .model import (GROUP_EMBED, GROUP_HEAD, GROUP_K, GROUP_O, GROUP_Q, GROUP_V,
+                    SkeletonModel, count_flops, count_params, map_layers)
 
-GROUP_ORDER = ("Q", "K", "V", "O", "EMBED", "HEAD")
+# Canonical group order of a rendered plan.
+GROUP_ORDER = (GROUP_Q, GROUP_K, GROUP_V, GROUP_O, GROUP_EMBED, GROUP_HEAD)
 
 REPORT_HEADER = (
     "layer,group,rows,cols,rank,params_before,params_after,recon_fro,recon_rel"
@@ -132,7 +133,6 @@ class CompressionReport:
     flops_before: int
     flops_after: int
     reference_frames: int
-    created_at: str
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -203,7 +203,6 @@ def compress_model(model: SkeletonModel, plan: CompressionPlan):
         flops_before=count_flops(model, frames),
         flops_after=count_flops(compressed, frames),
         reference_frames=frames,
-        created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
     return compressed, report
 

@@ -81,7 +81,12 @@ def _check_header(r: _Reader, magic: bytes) -> None:
 
 
 def write_weights(path, tensors) -> None:
-    """Write named f64 tensors; ``tensors`` maps name -> ndarray."""
+    """Write named f64 tensors; ``tensors`` maps name -> ndarray.
+
+    Every tensor is checked before the file is opened, so a rejected
+    tensor (non-finite, or a name or rank the format cannot hold) leaves
+    no file behind.
+    """
     blob = bytearray()
     blob += WEIGHTS_MAGIC
     blob += struct.pack("<I", FORMAT_VERSION)
@@ -89,6 +94,8 @@ def write_weights(path, tensors) -> None:
     blob += struct.pack("<I", len(items))
     for name, arr in items:
         arr = np.ascontiguousarray(arr, dtype="<f8")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"tensor {name!r} contains non-finite entries")
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise ValueError(f"tensor name too long: {name!r}")

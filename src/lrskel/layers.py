@@ -1,18 +1,23 @@
-"""Differentiable building blocks with explicit forward/backward contracts.
+"""Differentiable building blocks, one forward body per op.
 
 Linear layers come in two flavours: a dense affine map, and its low-rank
 replacement holding the cascaded factor pair. Attention is the standard
 scaled dot-product form; a multi-head block keeps separate per-head Q/K/V
 projections so ranks can later be assigned per matrix type.
 
-Backward passes run off a single-use :class:`GradTape` captured during the
-forward call. Gradients are exact analytic adjoints.
+Every op computes its output in one place, which also returns a single-use
+:class:`GradTape` holding the cached activations and the op's backward
+function; ``forward`` is that output with the tape dropped. Gradients are
+exact analytic adjoints. Inputs are validated where they enter (the
+constructors here, and the model's sample features), not on every internal
+matmul.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -21,9 +26,10 @@ from .linalg import as_matrix
 
 @dataclass
 class GradTape:
-    """Cached activations for one backward pass; consumable exactly once."""
+    """Cached activations plus the function ``fn(cache, grad_out)`` that
+    turns them into gradients; consumable exactly once."""
 
-    op: object
+    fn: Callable
     cache: dict
     used: bool = field(default=False)
 
@@ -38,13 +44,12 @@ def backward(tape: GradTape, grad_out):
     if tape.used:
         raise RuntimeError("gradient tape already consumed")
     tape.used = True
-    grad_out = as_matrix(grad_out, "grad_out")
     if grad_out.shape != tape.cache["out_shape"]:
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match forward output "
             f"{tape.cache['out_shape']}"
         )
-    return tape.op._backward(tape.cache, grad_out)
+    return tape.fn(tape.cache, grad_out)
 
 
 def _check_bias(bias, c_out):
@@ -80,17 +85,15 @@ class DenseLinear:
                            None if self.bias is None else self.bias.copy())
 
     def forward(self, x) -> np.ndarray:
-        x = as_matrix(x, "x")
+        return self.forward_tape(x)[0]
+
+    def forward_tape(self, x):
         if x.shape[1] != self.c_in:
             raise ValueError(f"input width {x.shape[1]} != C_in {self.c_in}")
         y = x @ self.weight
         if self.bias is not None:
             y = y + self.bias
-        return y
-
-    def forward_tape(self, x):
-        y = self.forward(x)
-        return y, GradTape(self, {"x": as_matrix(x, "x"), "out_shape": y.shape})
+        return y, GradTape(self._backward, {"x": x, "out_shape": y.shape})
 
     def _backward(self, cache, grad_out):
         grad_in = grad_out @ self.weight.T
@@ -149,23 +152,17 @@ class LowRankLinear:
                              None if self.bias is None else self.bias.copy())
 
     def forward(self, x) -> np.ndarray:
-        x = as_matrix(x, "x")
-        if x.shape[1] != self.c_in:
-            raise ValueError(f"input width {x.shape[1]} != C_in {self.c_in}")
-        y = (x @ self.w1) @ self.w2
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return self.forward_tape(x)[0]
 
     def forward_tape(self, x):
-        x = as_matrix(x, "x")
         if x.shape[1] != self.c_in:
             raise ValueError(f"input width {x.shape[1]} != C_in {self.c_in}")
         hidden = x @ self.w1
         y = hidden @ self.w2
         if self.bias is not None:
             y = y + self.bias
-        return y, GradTape(self, {"x": x, "hidden": hidden, "out_shape": y.shape})
+        return y, GradTape(self._backward,
+                           {"x": x, "hidden": hidden, "out_shape": y.shape})
 
     def _backward(self, cache, grad_out):
         grad_hidden = grad_out @ self.w2.T
@@ -194,59 +191,27 @@ class LowRankLinear:
 
 def softmax_rows(a) -> np.ndarray:
     """Row-wise softmax, stabilized by subtracting each row's maximum."""
-    a = as_matrix(a, "a")
     shifted = a - a.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
-class _SoftmaxOp:
-    def _backward(self, cache, grad_out):
-        s = cache["s"]
-        grad_in = s * (grad_out - np.sum(grad_out * s, axis=1, keepdims=True))
-        return grad_in, {}
+def _softmax_adjoint(s, grad_s):
+    return s * (grad_s - np.sum(grad_s * s, axis=1, keepdims=True))
 
 
-_SOFTMAX_OP = _SoftmaxOp()
+def _softmax_backward(cache, grad_out):
+    return _softmax_adjoint(cache["s"], grad_out), {}
 
 
 def softmax_rows_tape(a):
     s = softmax_rows(a)
-    return s, GradTape(_SOFTMAX_OP, {"s": s, "out_shape": s.shape})
+    return s, GradTape(_softmax_backward, {"s": s, "out_shape": s.shape})
 
 
-def attention_forward(q, k, v) -> np.ndarray:
-    """Scaled dot-product attention: softmax(q @ k.T / sqrt(d_k)) @ v."""
-    q = as_matrix(q, "q")
-    k = as_matrix(k, "k")
-    v = as_matrix(v, "v")
-    if q.shape[1] != k.shape[1]:
-        raise ValueError(f"q width {q.shape[1]} != k width {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ValueError(f"k height {k.shape[0]} != v height {v.shape[0]}")
-    scale = 1.0 / math.sqrt(q.shape[1])
-    weights = softmax_rows((q @ k.T) * scale)
-    return weights @ v
-
-
-class _AttentionOp:
-    def _backward(self, cache, grad_out):
-        q, k, v, s, scale = (cache[n] for n in ("q", "k", "v", "s", "scale"))
-        grad_v = s.T @ grad_out
-        grad_s = grad_out @ v.T
-        grad_z = s * (grad_s - np.sum(grad_s * s, axis=1, keepdims=True))
-        grad_q = (grad_z @ k) * scale
-        grad_k = (grad_z.T @ q) * scale
-        return (grad_q, grad_k, grad_v), {}
-
-
-_ATTENTION_OP = _AttentionOp()
-
-
-def attention_forward_tape(q, k, v):
-    q = as_matrix(q, "q")
-    k = as_matrix(k, "k")
-    v = as_matrix(v, "v")
+def _attention(q, k, v):
+    """Body of both attention entry points. Neither entry point calls the
+    other, so a traced call to either records one span."""
     if q.shape[1] != k.shape[1]:
         raise ValueError(f"q width {q.shape[1]} != k width {k.shape[1]}")
     if k.shape[0] != v.shape[0]:
@@ -255,7 +220,25 @@ def attention_forward_tape(q, k, v):
     s = softmax_rows((q @ k.T) * scale)
     y = s @ v
     cache = {"q": q, "k": k, "v": v, "s": s, "scale": scale, "out_shape": y.shape}
-    return y, GradTape(_ATTENTION_OP, cache)
+    return y, GradTape(_attention_backward, cache)
+
+
+def _attention_backward(cache, grad_out):
+    q, k, v, s, scale = (cache[n] for n in ("q", "k", "v", "s", "scale"))
+    grad_v = s.T @ grad_out
+    grad_z = _softmax_adjoint(s, grad_out @ v.T)
+    grad_q = (grad_z @ k) * scale
+    grad_k = (grad_z.T @ q) * scale
+    return (grad_q, grad_k, grad_v), {}
+
+
+def attention_forward(q, k, v) -> np.ndarray:
+    """Scaled dot-product attention: softmax(q @ k.T / sqrt(d_k)) @ v."""
+    return _attention(q, k, v)[0]
+
+
+def attention_forward_tape(q, k, v):
+    return _attention(q, k, v)
 
 
 @dataclass
@@ -310,12 +293,19 @@ class MhsaBlock:
     def copy(self) -> "MhsaBlock":
         return MhsaBlock([h.copy() for h in self.heads], self.wo.copy())
 
+    def named_projections(self):
+        """(name, layer) for every projection in canonical order: each
+        head's wq, wk, wv, then wo. Parameter and gradient keys are
+        ``<name>.<param>``."""
+        out = []
+        for i, h in enumerate(self.heads):
+            out += [(f"heads.{i}.wq", h.wq), (f"heads.{i}.wk", h.wk),
+                    (f"heads.{i}.wv", h.wv)]
+        out.append(("wo", self.wo))
+        return out
+
     def forward(self, x) -> np.ndarray:
-        outs = [
-            attention_forward(h.wq.forward(x), h.wk.forward(x), h.wv.forward(x))
-            for h in self.heads
-        ]
-        return self.wo.forward(np.hstack(outs))
+        return self.forward_tape(x)[0]
 
     def forward_tape(self, x):
         head_tapes = []
@@ -329,11 +319,11 @@ class MhsaBlock:
             outs.append(out)
         y, to = self.wo.forward_tape(np.hstack(outs))
         cache = {"head_tapes": head_tapes, "wo_tape": to, "out_shape": y.shape}
-        return y, GradTape(self, cache)
+        return y, GradTape(self._backward, cache)
 
     def _backward(self, cache, grad_out):
         grad_concat, wo_grads = backward(cache["wo_tape"], grad_out)
-        grads = {f"wo.{n}": g for n, g in wo_grads.items()}
+        layer_grads = []
         grad_x = None
         d_v = self.d_v
         for i, (tq, tk, tv, ta) in enumerate(cache["head_tapes"]):
@@ -342,32 +332,24 @@ class MhsaBlock:
             gx_q, q_grads = backward(tq, gq)
             gx_k, k_grads = backward(tk, gk)
             gx_v, v_grads = backward(tv, gv)
-            for n, g in q_grads.items():
-                grads[f"heads.{i}.wq.{n}"] = g
-            for n, g in k_grads.items():
-                grads[f"heads.{i}.wk.{n}"] = g
-            for n, g in v_grads.items():
-                grads[f"heads.{i}.wv.{n}"] = g
+            layer_grads += [q_grads, k_grads, v_grads]
             part = gx_q + gx_k + gx_v
             grad_x = part if grad_x is None else grad_x + part
+        layer_grads.append(wo_grads)
+        grads = {
+            f"{name}.{n}": g
+            for (name, _), named in zip(self.named_projections(), layer_grads,
+                                         strict=True)
+            for n, g in named.items()
+        }
         return grad_x, grads
 
     def params(self) -> dict:
-        out = {}
-        for i, h in enumerate(self.heads):
-            for pname, proj in (("wq", h.wq), ("wk", h.wk), ("wv", h.wv)):
-                for n, arr in proj.params().items():
-                    out[f"heads.{i}.{pname}.{n}"] = arr
-        for n, arr in self.wo.params().items():
-            out[f"wo.{n}"] = arr
-        return out
+        return {
+            f"{name}.{n}": arr
+            for name, layer in self.named_projections()
+            for n, arr in layer.params().items()
+        }
 
     def param_count(self) -> int:
-        total = self.wo.param_count()
-        for h in self.heads:
-            total += h.wq.param_count() + h.wk.param_count() + h.wv.param_count()
-        return total
-
-
-def mhsa_forward(x, block: MhsaBlock) -> np.ndarray:
-    return block.forward(x)
+        return sum(layer.param_count() for _, layer in self.named_projections())

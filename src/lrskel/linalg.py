@@ -37,19 +37,6 @@ def frobenius(a) -> float:
     return float(np.sqrt(np.sum(np.asarray(a, dtype=np.float64) ** 2)))
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with shape checking.
-
-    Summation order is whatever the BLAS behind ``@`` uses; it is fixed for
-    fixed shapes, so repeated calls are bit-identical.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 @dataclass(frozen=True)
 class SvdResult:
     """Full decomposition ``a = u @ S @ vt`` with rectangular diagonal S.

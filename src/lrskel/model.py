@@ -98,59 +98,66 @@ def build_model(cfg: ModelConfig) -> SkeletonModel:
     in a fixed order from one seeded generator; biases start at zero.
     """
     rng = np.random.default_rng(cfg.seed)
+    shapes = {
+        GROUP_EMBED: (cfg.input_width, cfg.d_model),
+        GROUP_Q: (cfg.d_model, cfg.d_k),
+        GROUP_K: (cfg.d_model, cfg.d_k),
+        GROUP_V: (cfg.d_model, cfg.d_k),
+        GROUP_O: (cfg.heads * cfg.d_k, cfg.d_model),
+        GROUP_HEAD: (cfg.d_model, cfg.classes),
+    }
 
     def linear(fan_in, fan_out):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weight = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         return DenseLinear(weight, np.zeros(fan_out))
 
-    embed = linear(cfg.input_width, cfg.d_model)
+    return _assemble(cfg, [linear(*shapes[group]) for _, group in layer_specs(cfg)])
+
+
+def layer_specs(cfg: ModelConfig):
+    """(name, group) of every linear layer, in canonical order.
+
+    The one place the dotted layer names of weights files and parameter keys
+    are spelled out; building, loading, listing and rebuilding a model all
+    walk this sequence.
+    """
+    yield "embed", GROUP_EMBED
+    for b in range(cfg.blocks):
+        for h in range(cfg.heads):
+            yield f"blocks.{b}.heads.{h}.wq", GROUP_Q
+            yield f"blocks.{b}.heads.{h}.wk", GROUP_K
+            yield f"blocks.{b}.heads.{h}.wv", GROUP_V
+        yield f"blocks.{b}.wo", GROUP_O
+    yield "head", GROUP_HEAD
+
+
+def _assemble(cfg: ModelConfig, layers) -> SkeletonModel:
+    """Build a model from its linear layers given in ``layer_specs`` order."""
+    it = iter(layers)
+    embed = next(it)
     blocks = []
     for _ in range(cfg.blocks):
-        heads = [
-            AttentionHead(
-                wq=linear(cfg.d_model, cfg.d_k),
-                wk=linear(cfg.d_model, cfg.d_k),
-                wv=linear(cfg.d_model, cfg.d_k),
-            )
-            for _ in range(cfg.heads)
-        ]
-        wo = linear(cfg.heads * cfg.d_k, cfg.d_model)
-        blocks.append(MhsaBlock(heads, wo))
-    head = linear(cfg.d_model, cfg.classes)
-    return SkeletonModel(embed, blocks, head, cfg)
+        heads = [AttentionHead(next(it), next(it), next(it))
+                 for _ in range(cfg.heads)]
+        blocks.append(MhsaBlock(heads, next(it)))
+    return SkeletonModel(embed, blocks, next(it), cfg)
 
 
 def named_layers(model: SkeletonModel):
     """All linear layers as (name, layer, group), in canonical order."""
-    out = [("embed", model.embed, GROUP_EMBED)]
-    for b, block in enumerate(model.blocks):
-        for h, head in enumerate(block.heads):
-            out.append((f"blocks.{b}.heads.{h}.wq", head.wq, GROUP_Q))
-            out.append((f"blocks.{b}.heads.{h}.wk", head.wk, GROUP_K))
-            out.append((f"blocks.{b}.heads.{h}.wv", head.wv, GROUP_V))
-        out.append((f"blocks.{b}.wo", block.wo, GROUP_O))
-    out.append(("head", model.head, GROUP_HEAD))
-    return out
+    layers = [model.embed]
+    for block in model.blocks:
+        layers += [layer for _, layer in block.named_projections()]
+    layers.append(model.head)
+    return [(name, layer, group) for (name, group), layer
+            in zip(layer_specs(model.config), layers, strict=True)]
 
 
 def map_layers(model: SkeletonModel, fn) -> SkeletonModel:
     """Rebuild the model with ``fn(name, layer, group)`` replacing each
     linear layer; visits layers in ``named_layers`` order."""
-    embed = fn("embed", model.embed, GROUP_EMBED)
-    blocks = []
-    for b, block in enumerate(model.blocks):
-        heads = []
-        for h, head in enumerate(block.heads):
-            heads.append(AttentionHead(
-                wq=fn(f"blocks.{b}.heads.{h}.wq", head.wq, GROUP_Q),
-                wk=fn(f"blocks.{b}.heads.{h}.wk", head.wk, GROUP_K),
-                wv=fn(f"blocks.{b}.heads.{h}.wv", head.wv, GROUP_V),
-            ))
-        wo = fn(f"blocks.{b}.wo", block.wo, GROUP_O)
-        blocks.append(MhsaBlock(heads, wo))
-    head = fn("head", model.head, GROUP_HEAD)
-    return SkeletonModel(embed, blocks, head, model.config)
+    return _assemble(model.config, [fn(*entry) for entry in named_layers(model)])
 
 
 def named_params(model: SkeletonModel) -> dict:
@@ -177,28 +184,11 @@ def _coords_of(sample):
     return getattr(sample, "coords", sample)
 
 
-def forward_features(model: SkeletonModel, x) -> np.ndarray:
-    """Forward one sample already flattened to T x 3J; returns 1 x classes."""
-    x = model.embed.forward(x)
-    for block in model.blocks:
-        x = x + block.forward(x)
-    pooled = x.mean(axis=0, keepdims=True)
-    return model.head.forward(pooled)
-
-
-def forward(model: SkeletonModel, samples) -> np.ndarray:
-    """Logits for a batch of skeleton samples (or raw T x J x 3 arrays)."""
-    rows = [
-        forward_features(model, sample_features(_coords_of(s), model.config))
-        for s in samples
-    ]
-    if not rows:
-        raise ValueError("empty batch")
-    return np.vstack(rows)
-
-
-def forward_features_tape(model: SkeletonModel, x):
-    x = as_matrix(x, "x")
+def _features(model: SkeletonModel, x):
+    """Body of both feature entry points: logits for one sample already
+    flattened to T x 3J, plus the tapes ``backward_features`` consumes.
+    Neither entry point calls the other, so a traced call to either records
+    one span."""
     frames = x.shape[0]
     x, embed_tape = model.embed.forward_tape(x)
     block_tapes = []
@@ -216,22 +206,46 @@ def forward_features_tape(model: SkeletonModel, x):
     }
 
 
+def forward_features(model: SkeletonModel, x) -> np.ndarray:
+    """Forward one sample already flattened to T x 3J; returns 1 x classes."""
+    return _features(model, x)[0]
+
+
+def forward_features_tape(model: SkeletonModel, x):
+    return _features(model, x)
+
+
+def forward(model: SkeletonModel, samples) -> np.ndarray:
+    """Logits for a batch of skeleton samples (or raw T x J x 3 arrays).
+
+    Raises ValueError when a logit is not finite, as a diverged model's are.
+    """
+    rows = [
+        forward_features(model, sample_features(_coords_of(s), model.config))
+        for s in samples
+    ]
+    if not rows:
+        raise ValueError("empty batch")
+    logits = np.vstack(rows)
+    if not np.isfinite(logits).all():
+        raise ValueError("logits contain non-finite entries")
+    return logits
+
+
 def backward_features(model: SkeletonModel, tape, grad_logits) -> dict:
     """Parameter gradients for one sample; keys match ``named_params``."""
-    grads = {}
     grad_pooled, head_grads = backward(tape["head"], grad_logits)
-    for n, g in head_grads.items():
-        grads[f"head.{n}"] = g
     grad_x = np.repeat(grad_pooled / tape["frames"], tape["frames"], axis=0)
-    for b in range(len(model.blocks) - 1, -1, -1):
-        grad_block, block_grads = backward(tape["blocks"][b], grad_x)
-        for n, g in block_grads.items():
-            grads[f"blocks.{b}.{n}"] = g
+    parts = [head_grads]
+    for block_tape in reversed(tape["blocks"]):
+        grad_block, block_grads = backward(block_tape, grad_x)
+        parts.append(block_grads)
         grad_x = grad_x + grad_block
-    grad_in, embed_grads = backward(tape["embed"], grad_x)
-    for n, g in embed_grads.items():
-        grads[f"embed.{n}"] = g
-    return grads
+    parts.append(backward(tape["embed"], grad_x)[1])
+    # Every layer and block lists its gradients in its params() order, so
+    # the parts, read from the embedding up, line up with named_params.
+    grads = [g for part in reversed(parts) for g in part.values()]
+    return dict(zip(named_params(model), grads, strict=True))
 
 
 def cross_entropy(logits, labels):
@@ -299,11 +313,7 @@ def _config_from_tensor(arr) -> ModelConfig:
 
 
 def model_to_tensors(model: SkeletonModel) -> dict:
-    tensors = {"config": _config_tensor(model.config)}
-    for lname, layer, _ in named_layers(model):
-        for pname, arr in layer.params().items():
-            tensors[f"{lname}.{pname}"] = arr
-    return tensors
+    return {"config": _config_tensor(model.config), **named_params(model)}
 
 
 def model_from_tensors(tensors: dict) -> SkeletonModel:
@@ -331,23 +341,11 @@ def model_from_tensors(tensors: dict) -> SkeletonModel:
             consumed.add(f"{name}.bias")
         return layer
 
-    embed = rebuild("embed")
-    blocks = []
-    for b in range(cfg.blocks):
-        heads = [
-            AttentionHead(
-                wq=rebuild(f"blocks.{b}.heads.{h}.wq"),
-                wk=rebuild(f"blocks.{b}.heads.{h}.wk"),
-                wv=rebuild(f"blocks.{b}.heads.{h}.wv"),
-            )
-            for h in range(cfg.heads)
-        ]
-        blocks.append(MhsaBlock(heads, rebuild(f"blocks.{b}.wo")))
-    head = rebuild("head")
+    layers = [rebuild(name) for name, _ in layer_specs(cfg)]
     extra = set(tensors) - consumed
     if extra:
         raise ValueError(f"unexpected tensors in weights file: {sorted(extra)}")
-    return SkeletonModel(embed, blocks, head, cfg)
+    return _assemble(cfg, layers)
 
 
 def save_model(path, model: SkeletonModel) -> None:

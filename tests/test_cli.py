@@ -126,6 +126,22 @@ def test_train_missing_data_is_runtime_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns as it overflows
+def test_train_divergence_is_runtime_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["gen", "--out", str(data)] + SMALL_GEN)
+    capsys.readouterr()
+    weights = tmp_path / "m.lrts"
+    code = main(["train", str(data), "--out", str(weights)] + SMALL_MODEL
+                + ["--epochs", "3", "--lr", "1000", "--milestones", "",
+                   "--batch", "8"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert "Traceback" not in err
+    assert not weights.exists()
+
+
 def test_compress_identity_plan_keeps_payload(workspace):
     tmp_path, data, model = workspace
     out = tmp_path / "same.lrts"
@@ -177,6 +193,15 @@ def test_sweep_grid(workspace, capsys):
     for line in lines[1:]:
         cells = line.split(",")
         assert int(cells[1]) > 0
+
+
+def test_sweep_reads_only_the_test_split(workspace):
+    tmp_path, data, model = workspace
+    (data / "train.lrsk").unlink()
+    grid = tmp_path / "grid.txt"
+    grid.write_text("full\n")
+    assert main(["sweep", str(model), str(data), "--grid", str(grid),
+                 "--out", str(tmp_path / "s.csv")]) == 0
 
 
 def test_sweep_empty_grid_is_runtime_error(workspace, capsys):

@@ -40,6 +40,15 @@ def test_weights_write_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_weights_write_rejects_nonfinite_and_leaves_no_file(tmp_path, bad):
+    tensors = {"ok": np.ones(3), "w": np.array([[0.0, bad]])}
+    path = tmp_path / "w.lrts"
+    with pytest.raises(ValueError, match="'w'"):
+        write_weights(path, tensors)
+    assert not path.exists()
+
+
 def test_weights_bad_magic(tmp_path):
     path = tmp_path / "w.lrts"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

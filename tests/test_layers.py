@@ -12,7 +12,6 @@ from lrskel.layers import (
     attention_forward,
     attention_forward_tape,
     backward,
-    mhsa_forward,
     softmax_rows,
     softmax_rows_tape,
 )
@@ -187,7 +186,7 @@ def test_mhsa_single_head_identity_output_projection():
     x = rng.normal(size=(5, 4))
     expected = attention_forward(
         head.wq.forward(x), head.wk.forward(x), head.wv.forward(x))
-    assert np.abs(mhsa_forward(x, block) - expected).max() < 1e-15
+    assert np.abs(block.forward(x) - expected).max() < 1e-15
 
 
 def test_mhsa_zero_values_leave_only_wo_bias():
@@ -196,7 +195,7 @@ def test_mhsa_zero_values_leave_only_wo_bias():
     for head in block.heads:
         head.wv.weight[:] = 0.0
         head.wv.bias[:] = 0.0
-    out = mhsa_forward(rng.normal(size=(4, 6)), block)
+    out = block.forward(rng.normal(size=(4, 6)))
     assert np.abs(out - block.wo.bias).max() < 1e-12
 
 
@@ -209,7 +208,7 @@ def test_mhsa_matches_manual_concat():
         parts.append(attention_forward(
             head.wq.forward(x), head.wk.forward(x), head.wv.forward(x)))
     manual = block.wo.forward(np.hstack(parts))
-    assert np.abs(mhsa_forward(x, block) - manual).max() < 1e-12
+    assert np.abs(block.forward(x) - manual).max() < 1e-12
 
 
 def test_mhsa_rejects_mismatched_heads():
@@ -226,7 +225,7 @@ def test_mhsa_full_rank_replacement_keeps_forward():
     rng = np.random.default_rng(15)
     block = make_block(rng, 6, 2, 3)
     x = rng.normal(size=(5, 6))
-    before = mhsa_forward(x, block)
+    before = block.forward(x)
     for head in block.heads:
         for attr in ("wq", "wk", "wv"):
             dense = getattr(head, attr)
@@ -234,7 +233,7 @@ def test_mhsa_full_rank_replacement_keeps_forward():
             setattr(head, attr, LowRankLinear(f.w1, f.w2, dense.bias))
     f = truncate_to_factors(svd(block.wo.weight), min(block.wo.weight.shape))
     block = MhsaBlock(block.heads, LowRankLinear(f.w1, f.w2, block.wo.bias))
-    assert np.abs(mhsa_forward(x, block) - before).max() < 1e-8
+    assert np.abs(block.forward(x) - before).max() < 1e-8
 
 
 def test_backward_zero_grad_out_gives_zero_grads():

@@ -6,40 +6,10 @@ import pytest
 from lrskel.linalg import (
     SvdResult,
     frobenius,
-    matmul,
     reconstruction_error,
     svd,
     truncate_to_factors,
 )
-
-
-def test_matmul_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_hand_case():
-    out = matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [1.0]])
-    assert np.array_equal(out, [[2.0], [4.0]])
-
-
-def test_matmul_associativity():
-    rng = np.random.default_rng(42)
-    for _ in range(10):
-        a, b, c = (rng.normal(size=(5, 5)) for _ in range(3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.abs(left - right).max() < 1e-12
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ValueError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_matmul_rejects_nan():
-    with pytest.raises(ValueError):
-        matmul(np.array([[np.nan, 0.0]]), np.ones((2, 1)))
 
 
 def test_svd_identity():

@@ -3,7 +3,7 @@ import pytest
 from helpers import assert_grads_close, finite_difference
 
 from lrskel.data import DatasetSpec, generate_dataset
-from lrskel.layers import LowRankLinear, mhsa_forward
+from lrskel.layers import LowRankLinear
 from lrskel.linalg import svd, truncate_to_factors
 from lrskel.model import (
     ModelConfig,
@@ -124,7 +124,7 @@ def test_forward_matches_manual_composition():
     x = sample_features(coords, m.config)
     h = m.embed.forward(x)
     for block in m.blocks:
-        h = h + mhsa_forward(h, block)
+        h = h + block.forward(h)
     expected = m.head.forward(h.mean(axis=0, keepdims=True))
     got = forward(m, [coords])
     assert np.abs(got - expected).max() < 1e-12
@@ -158,6 +158,14 @@ def test_forward_rejects_nonfinite():
     bad[0, 0, 0] = np.inf
     with pytest.raises(ValueError):
         forward(m, [bad])
+
+
+def test_forward_rejects_nonfinite_logits():
+    m = build_model(TOY)
+    m.head.weight[0, 0] = np.inf
+    coords = np.random.default_rng(6).normal(size=(16, 8, 3))
+    with pytest.raises(ValueError, match="logits"):
+        forward(m, [coords])
 
 
 def test_cross_entropy_uniform_logits():
