@@ -1,15 +1,20 @@
 """Training loop with a warm-up plus step-decay learning-rate schedule.
 
 Plain mini-batch SGD over the cross-entropy loss. Shuffling is reseeded per
-epoch from ``seed + epoch`` and gradients accumulate in sample order, so a
-fixed seed reproduces a run bit for bit. Fine-tuning a compressed model is
-the same loop: both low-rank factors train freely.
+epoch from ``seed + epoch``; each mini-batch runs as one stacked forward and
+one backward whose gradients sum over the batch, and batches update the
+weights in that fixed order, so a fixed seed reproduces a run bit for bit.
+A step whose logits or loss are not finite stops training with a
+RuntimeError naming the epoch, the batch and the learning rate.
+Fine-tuning a compressed model is the same loop: both low-rank factors
+train freely.
 """
 
 from __future__ import annotations
 
 import io
 import csv
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -20,7 +25,6 @@ from .model import (
     backward_features,
     cross_entropy,
     forward,
-    forward_features,
     forward_features_tape,
     named_params,
     sample_features,
@@ -112,6 +116,11 @@ def evaluate(model: SkeletonModel, samples) -> float:
     return float(np.mean(preds == labels))
 
 
+def _diverged(epoch, index, lr) -> RuntimeError:
+    return RuntimeError(
+        f"training diverged at epoch {epoch}, batch {index} (lr {lr})")
+
+
 def train(model: SkeletonModel, train_samples, test_samples,
           cfg: TrainConfig):
     """SGD-train a copy of ``model``; returns (trained model, history)."""
@@ -133,30 +142,33 @@ def train(model: SkeletonModel, train_samples, test_samples,
         lr = lr_at_epoch(cfg, epoch)
         order = np.random.default_rng(cfg.seed + epoch).permutation(n)
         loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            tapes = []
-            logits = np.empty((batch.size, mcfg.classes))
-            for row, i in enumerate(batch):
-                out, tape = forward_features_tape(trained, feats[i])
-                logits[row] = out[0]
-                tapes.append(tape)
-            loss, grad_logits = cross_entropy(logits, labels[batch])
-            loss_sum += loss * batch.size
-            grads = {}
-            for row, tape in enumerate(tapes):
-                for name, g in backward_features(
-                        trained, tape, grad_logits[row:row + 1]).items():
-                    if name in grads:
-                        grads[name] += g
-                    else:
-                        grads[name] = g
-            for name, value in params.items():
-                value -= lr * grads[name]
+        # Overflow ends the run below, as non-finite logits or loss, with
+        # the epoch, batch and lr named; numpy's warnings would only add
+        # noise to that diagnosis.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for index, start in enumerate(range(0, n, cfg.batch_size)):
+                batch = order[start:start + cfg.batch_size]
+                logits, tape = forward_features_tape(
+                    trained, np.stack([feats[i] for i in batch]))
+                if not np.isfinite(logits).all():
+                    raise _diverged(epoch, index, lr)
+                loss, grad_logits = cross_entropy(logits, labels[batch])
+                if not math.isfinite(loss):
+                    raise _diverged(epoch, index, lr)
+                loss_sum += loss * batch.size
+                grads = backward_features(trained, tape, grad_logits)
+                for name, value in params.items():
+                    value -= lr * grads[name]
+            try:
+                top1 = evaluate(trained, test_samples)
+            except ValueError as exc:
+                # The test set was validated above, so only non-finite test
+                # logits, from the last batch's update, can land here.
+                raise _diverged(epoch, index, lr) from exc
         records.append(EpochRecord(
             epoch=epoch,
             lr=lr,
             train_loss=loss_sum / n,
-            test_top1=evaluate(trained, test_samples),
+            test_top1=top1,
         ))
     return trained, TrainHistory(records=tuple(records))

@@ -5,12 +5,15 @@ replacement holding the cascaded factor pair. Attention is the standard
 scaled dot-product form; a multi-head block keeps separate per-head Q/K/V
 projections so ranks can later be assigned per matrix type.
 
-Every op computes its output in one place, which also returns a single-use
-:class:`GradTape` holding the cached activations and the op's backward
-function; ``forward`` is that output with the tape dropped. Gradients are
-exact analytic adjoints. Inputs are validated where they enter (the
-constructors here, and the model's sample features), not on every internal
-matmul.
+Every op acts on the trailing ``T x d`` axes and takes any leading batch
+axes, so a ``T x d`` input is one sample and a ``B x T x d`` input is a
+mini-batch run through the same body; a weight or bias gradient sums over
+every leading row. Each op computes its output in one place, which also
+returns a single-use :class:`GradTape` holding the cached activations and
+the op's backward function; ``forward`` is that output with the tape
+dropped. Gradients are exact analytic adjoints. Inputs are validated where
+they enter (the constructors here, and the model's sample features), not on
+every internal matmul.
 """
 
 from __future__ import annotations
@@ -88,8 +91,8 @@ class DenseLinear:
         return self.forward_tape(x)[0]
 
     def forward_tape(self, x):
-        if x.shape[1] != self.c_in:
-            raise ValueError(f"input width {x.shape[1]} != C_in {self.c_in}")
+        if x.shape[-1] != self.c_in:
+            raise ValueError(f"input width {x.shape[-1]} != C_in {self.c_in}")
         y = x @ self.weight
         if self.bias is not None:
             y = y + self.bias
@@ -97,9 +100,10 @@ class DenseLinear:
 
     def _backward(self, cache, grad_out):
         grad_in = grad_out @ self.weight.T
-        grads = {"weight": cache["x"].T @ grad_out}
+        rows = grad_out.reshape(-1, self.c_out)
+        grads = {"weight": cache["x"].reshape(-1, self.c_in).T @ rows}
         if self.bias is not None:
-            grads["bias"] = grad_out.sum(axis=0)
+            grads["bias"] = rows.sum(axis=0)
         return grad_in, grads
 
     def params(self) -> dict:
@@ -155,8 +159,8 @@ class LowRankLinear:
         return self.forward_tape(x)[0]
 
     def forward_tape(self, x):
-        if x.shape[1] != self.c_in:
-            raise ValueError(f"input width {x.shape[1]} != C_in {self.c_in}")
+        if x.shape[-1] != self.c_in:
+            raise ValueError(f"input width {x.shape[-1]} != C_in {self.c_in}")
         hidden = x @ self.w1
         y = hidden @ self.w2
         if self.bias is not None:
@@ -167,12 +171,14 @@ class LowRankLinear:
     def _backward(self, cache, grad_out):
         grad_hidden = grad_out @ self.w2.T
         grad_in = grad_hidden @ self.w1.T
+        rows = grad_out.reshape(-1, self.c_out)
         grads = {
-            "w1": cache["x"].T @ grad_hidden,
-            "w2": cache["hidden"].T @ grad_out,
+            "w1": cache["x"].reshape(-1, self.c_in).T
+            @ grad_hidden.reshape(-1, self.k),
+            "w2": cache["hidden"].reshape(-1, self.k).T @ rows,
         }
         if self.bias is not None:
-            grads["bias"] = grad_out.sum(axis=0)
+            grads["bias"] = rows.sum(axis=0)
         return grad_in, grads
 
     def params(self) -> dict:
@@ -190,14 +196,15 @@ class LowRankLinear:
 
 
 def softmax_rows(a) -> np.ndarray:
-    """Row-wise softmax, stabilized by subtracting each row's maximum."""
-    shifted = a - a.max(axis=1, keepdims=True)
+    """Softmax over the last axis, stabilized by subtracting each row's
+    maximum."""
+    shifted = a - a.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _softmax_adjoint(s, grad_s):
-    return s * (grad_s - np.sum(grad_s * s, axis=1, keepdims=True))
+    return s * (grad_s - np.sum(grad_s * s, axis=-1, keepdims=True))
 
 
 def _softmax_backward(cache, grad_out):
@@ -212,12 +219,12 @@ def softmax_rows_tape(a):
 def _attention(q, k, v):
     """Body of both attention entry points. Neither entry point calls the
     other, so a traced call to either records one span."""
-    if q.shape[1] != k.shape[1]:
-        raise ValueError(f"q width {q.shape[1]} != k width {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ValueError(f"k height {k.shape[0]} != v height {v.shape[0]}")
-    scale = 1.0 / math.sqrt(q.shape[1])
-    s = softmax_rows((q @ k.T) * scale)
+    if q.shape[-1] != k.shape[-1]:
+        raise ValueError(f"q width {q.shape[-1]} != k width {k.shape[-1]}")
+    if k.shape[:-1] != v.shape[:-1]:
+        raise ValueError(f"k rows {k.shape[:-1]} != v rows {v.shape[:-1]}")
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    s = softmax_rows((q @ k.swapaxes(-1, -2)) * scale)
     y = s @ v
     cache = {"q": q, "k": k, "v": v, "s": s, "scale": scale, "out_shape": y.shape}
     return y, GradTape(_attention_backward, cache)
@@ -225,10 +232,10 @@ def _attention(q, k, v):
 
 def _attention_backward(cache, grad_out):
     q, k, v, s, scale = (cache[n] for n in ("q", "k", "v", "s", "scale"))
-    grad_v = s.T @ grad_out
-    grad_z = _softmax_adjoint(s, grad_out @ v.T)
+    grad_v = s.swapaxes(-1, -2) @ grad_out
+    grad_z = _softmax_adjoint(s, grad_out @ v.swapaxes(-1, -2))
     grad_q = (grad_z @ k) * scale
-    grad_k = (grad_z.T @ q) * scale
+    grad_k = (grad_z.swapaxes(-1, -2) @ q) * scale
     return (grad_q, grad_k, grad_v), {}
 
 
@@ -317,7 +324,7 @@ class MhsaBlock:
             out, ta = attention_forward_tape(q, k, v)
             head_tapes.append((tq, tk, tv, ta))
             outs.append(out)
-        y, to = self.wo.forward_tape(np.hstack(outs))
+        y, to = self.wo.forward_tape(np.concatenate(outs, axis=-1))
         cache = {"head_tapes": head_tapes, "wo_tape": to, "out_shape": y.shape}
         return y, GradTape(self._backward, cache)
 
@@ -327,7 +334,7 @@ class MhsaBlock:
         grad_x = None
         d_v = self.d_v
         for i, (tq, tk, tv, ta) in enumerate(cache["head_tapes"]):
-            slice_grad = grad_concat[:, i * d_v:(i + 1) * d_v]
+            slice_grad = grad_concat[..., i * d_v:(i + 1) * d_v]
             (gq, gk, gv), _ = backward(ta, slice_grad)
             gx_q, q_grads = backward(tq, gq)
             gx_k, k_grads = backward(tk, gk)

@@ -1,9 +1,10 @@
 """A minimal skeleton-sequence classifier for compression experiments.
 
-Per sample: flatten each frame's J joints into a 3J feature row, embed to
-d_model, run a stack of multi-head self-attention blocks with residual
-connections, mean-pool over time, and classify with a linear head. Small by
-design; the point is the compression pass, not the architecture.
+Each sample's frames flatten to a T x 3J feature matrix; a mini-batch is
+those matrices stacked to B x T x 3J and runs through the same body: embed
+to d_model, a stack of multi-head self-attention blocks with residual
+connections, mean-pool over time, and a linear head. Small by design; the
+point is the compression pass, not the architecture.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ GROUP_O = "O"
 GROUP_HEAD = "HEAD"
 
 _MAX_SEED = 2 ** 64
+
+# Samples per stacked forward in ``forward``: bounds the activations held at
+# once when a whole evaluation set is scored.
+_FORWARD_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -186,28 +191,34 @@ def _coords_of(sample):
 
 def _features(model: SkeletonModel, x):
     """Body of both feature entry points: logits for one sample already
-    flattened to T x 3J, plus the tapes ``backward_features`` consumes.
-    Neither entry point calls the other, so a traced call to either records
-    one span."""
-    frames = x.shape[0]
+    flattened to T x 3J (1 x classes) or for a B x T x 3J stack of them
+    (B x classes), plus the tapes ``backward_features`` consumes. Neither
+    entry point calls the other, so a traced call to either records one
+    span."""
+    frames = x.shape[-2]
     x, embed_tape = model.embed.forward_tape(x)
     block_tapes = []
     for block in model.blocks:
         out, tape = block.forward_tape(x)
         block_tapes.append(tape)
         x = x + out
-    pooled = x.mean(axis=0, keepdims=True)
+    # Pooling keeps a 1-row matrix per sample, so each sample's head product
+    # is the same 1-row matmul whatever the batch size; a B x d head input
+    # would switch BLAS kernels and change the logits in the last bit.
+    pooled = x.mean(axis=-2, keepdims=True)
     logits, head_tape = model.head.forward_tape(pooled)
-    return logits, {
+    return logits.reshape(-1, model.config.classes), {
         "embed": embed_tape,
         "blocks": block_tapes,
         "head": head_tape,
+        "pooled_shape": pooled.shape,
         "frames": frames,
     }
 
 
 def forward_features(model: SkeletonModel, x) -> np.ndarray:
-    """Forward one sample already flattened to T x 3J; returns 1 x classes."""
+    """Forward one sample already flattened to T x 3J (returns 1 x classes)
+    or a B x T x 3J batch of them (returns B x classes)."""
     return _features(model, x)[0]
 
 
@@ -220,22 +231,25 @@ def forward(model: SkeletonModel, samples) -> np.ndarray:
 
     Raises ValueError when a logit is not finite, as a diverged model's are.
     """
-    rows = [
-        forward_features(model, sample_features(_coords_of(s), model.config))
-        for s in samples
-    ]
-    if not rows:
+    feats = [sample_features(_coords_of(s), model.config) for s in samples]
+    if not feats:
         raise ValueError("empty batch")
-    logits = np.vstack(rows)
+    logits = np.vstack([
+        forward_features(model, np.stack(feats[i:i + _FORWARD_CHUNK]))
+        for i in range(0, len(feats), _FORWARD_CHUNK)
+    ])
     if not np.isfinite(logits).all():
         raise ValueError("logits contain non-finite entries")
     return logits
 
 
 def backward_features(model: SkeletonModel, tape, grad_logits) -> dict:
-    """Parameter gradients for one sample; keys match ``named_params``."""
-    grad_pooled, head_grads = backward(tape["head"], grad_logits)
-    grad_x = np.repeat(grad_pooled / tape["frames"], tape["frames"], axis=0)
+    """Parameter gradients for the sample or batch ``tape`` recorded, summed
+    over a batch; ``grad_logits`` has the logits' shape and the keys match
+    ``named_params``."""
+    grad_pooled, head_grads = backward(
+        tape["head"], grad_logits.reshape(tape["pooled_shape"][:-1] + (-1,)))
+    grad_x = np.repeat(grad_pooled / tape["frames"], tape["frames"], axis=-2)
     parts = [head_grads]
     for block_tape in reversed(tape["blocks"]):
         grad_block, block_grads = backward(block_tape, grad_x)

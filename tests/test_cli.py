@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -132,13 +133,21 @@ def test_train_divergence_is_runtime_error(tmp_path, capsys):
     main(["gen", "--out", str(data)] + SMALL_GEN)
     capsys.readouterr()
     weights = tmp_path / "m.lrts"
-    code = main(["train", str(data), "--out", str(weights)] + SMALL_MODEL
-                + ["--epochs", "3", "--lr", "1000", "--milestones", "",
-                   "--batch", "8"])
+    # pytest collects warnings instead of printing them, so record them to
+    # see what a user would find on stderr.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", str(data), "--out", str(weights)] + SMALL_MODEL
+                    + ["--epochs", "3", "--lr", "1000", "--milestones", "",
+                       "--batch", "8"])
     err = capsys.readouterr().err
     assert code == 1
-    assert any(line.startswith("error:") for line in err.splitlines())
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "epoch" in errors[0] and "lr" in errors[0]
     assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not weights.exists()
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,22 @@ def test_train_rejects_labels_out_of_range():
     bad = [SkeletonSample(coords=tr[0].coords, label=3)]
     with pytest.raises(ValueError):
         train(model, bad, te, TrainConfig(base_lr=0.1, epochs=1))
+
+
+def test_divergence_after_the_last_batch_is_named():
+    # The only batch's logits are finite; its update overflows the weights,
+    # which shows when the epoch's test set is scored with them.
+    cfg = ModelConfig(joints=1, frames=2, d_model=2, heads=1, blocks=0,
+                      classes=2, seed=3)
+    coords = np.random.default_rng(8).normal(size=(2, 1, 3))
+    sample = SkeletonSample(coords=coords, label=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError,
+                           match=r"epoch 0, batch 0 \(lr 1e\+300\)"):
+            train(build_model(cfg), [sample], [sample],
+                  TrainConfig(base_lr=1e300, epochs=1, batch_size=1))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_evaluate_constant_logits_on_balanced_set():

@@ -286,16 +286,24 @@ def _layer_grad_check(layer, x, rng, rtol=1e-5):
         assert_grads_close(grads[name], finite_difference(scalar, arr), rtol)
 
 
+# Leading batch shapes each gradient check runs with: none (one T x d
+# sample) and a B x T x d batch.
+BATCHES = [(), (2,)]
+
+
 def test_dense_gradients_match_finite_differences():
     rng = np.random.default_rng(20)
-    _layer_grad_check(rand_dense(rng, 4, 3), rng.normal(size=(5, 4)), rng)
+    layer = rand_dense(rng, 4, 3)
+    for batch in BATCHES:
+        _layer_grad_check(layer, rng.normal(size=batch + (5, 4)), rng)
 
 
 def test_lowrank_gradients_match_finite_differences():
     rng = np.random.default_rng(21)
     layer = LowRankLinear(rng.normal(size=(5, 2)), rng.normal(size=(2, 4)),
                           rng.normal(size=4))
-    _layer_grad_check(layer, rng.normal(size=(6, 5)), rng)
+    for batch in BATCHES:
+        _layer_grad_check(layer, rng.normal(size=batch + (6, 5)), rng)
 
 
 def test_softmax_gradients_match_finite_differences():
@@ -314,35 +322,27 @@ def test_softmax_gradients_match_finite_differences():
 
 def test_attention_gradients_match_finite_differences():
     rng = np.random.default_rng(23)
-    q = rng.normal(size=(5, 3))
-    k = rng.normal(size=(5, 3))
-    v = rng.normal(size=(5, 2))
-    y, tape = attention_forward_tape(q, k, v)
-    probe = rng.normal(size=y.shape)
-    (gq, gk, gv), _ = backward(tape, probe)
+    for batch in BATCHES:
+        q = rng.normal(size=batch + (5, 3))
+        k = rng.normal(size=batch + (5, 3))
+        v = rng.normal(size=batch + (5, 2))
+        y, tape = attention_forward_tape(q, k, v)
+        probe = rng.normal(size=y.shape)
+        (gq, gk, gv), _ = backward(tape, probe)
 
-    def scalar():
-        return float((attention_forward(q, k, v) * probe).sum())
+        def scalar():
+            return float((attention_forward(q, k, v) * probe).sum())
 
-    assert_grads_close(gq, finite_difference(scalar, q), 1e-5)
-    assert_grads_close(gk, finite_difference(scalar, k), 1e-5)
-    assert_grads_close(gv, finite_difference(scalar, v), 1e-5)
+        assert_grads_close(gq, finite_difference(scalar, q), 1e-5)
+        assert_grads_close(gk, finite_difference(scalar, k), 1e-5)
+        assert_grads_close(gv, finite_difference(scalar, v), 1e-5)
 
 
 def test_mhsa_gradients_match_finite_differences():
     rng = np.random.default_rng(24)
     block = make_block(rng, 4, 2, 2)
-    x = rng.normal(size=(3, 4))
-    y, tape = block.forward_tape(x)
-    probe = rng.normal(size=y.shape)
-    grad_in, grads = backward(tape, probe)
-
-    def scalar():
-        return float((block.forward(x) * probe).sum())
-
-    assert_grads_close(grad_in, finite_difference(scalar, x), 1e-5)
-    for name, arr in block.params().items():
-        assert_grads_close(grads[name], finite_difference(scalar, arr), 1e-5)
+    for batch in BATCHES:
+        _layer_grad_check(block, rng.normal(size=batch + (3, 4)), rng)
 
 
 def test_mhsa_gradients_with_lowrank_projection():
@@ -351,13 +351,5 @@ def test_mhsa_gradients_with_lowrank_projection():
     dense = block.heads[0].wv
     f = truncate_to_factors(svd(dense.weight), 1)
     block.heads[0].wv = LowRankLinear(f.w1, f.w2, dense.bias)
-    x = rng.normal(size=(3, 4))
-    y, tape = block.forward_tape(x)
-    probe = rng.normal(size=y.shape)
-    _, grads = backward(tape, probe)
-
-    def scalar():
-        return float((block.forward(x) * probe).sum())
-
-    for name, arr in block.params().items():
-        assert_grads_close(grads[name], finite_difference(scalar, arr), 1e-5)
+    for batch in BATCHES:
+        _layer_grad_check(block, rng.normal(size=batch + (3, 4)), rng)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from helpers import assert_grads_close, finite_difference
 
+from lrskel.compress import compress_model, parse_plan
 from lrskel.data import DatasetSpec, generate_dataset
 from lrskel.layers import LowRankLinear
 from lrskel.linalg import svd, truncate_to_factors
@@ -28,6 +29,13 @@ TOY = ModelConfig(joints=8, frames=16, d_model=32, heads=4, blocks=2,
                   classes=8, seed=0)
 TINY = ModelConfig(joints=2, frames=3, d_model=4, heads=2, blocks=1,
                    classes=3, seed=9)
+
+
+def dense_and_lowrank(cfg):
+    """A freshly built model and its copy with every attention group
+    low-rank."""
+    dense = build_model(cfg)
+    return dense, compress_model(dense, parse_plan("q=1,k=2,v=3,o=4"))[0]
 
 
 def test_config_validation():
@@ -131,13 +139,15 @@ def test_forward_matches_manual_composition():
 
 
 def test_forward_batch_independence():
-    m = build_model(TOY)
+    # 70 samples span several of forward's stacked chunks, the last one
+    # partial; every row must equal that sample scored on its own.
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(16, 8, 3))
-    b = rng.normal(size=(16, 8, 3))
-    batch = forward(m, [a, b])
-    assert np.array_equal(batch[0], forward(m, [a])[0])
-    assert np.array_equal(batch[1], forward(m, [b])[0])
+    samples = rng.normal(size=(70, 16, 8, 3))
+    for m in dense_and_lowrank(TOY):
+        batch = forward(m, samples)
+        assert batch.shape == (70, 8)
+        for row, sample in zip(batch, samples):
+            assert np.array_equal(row, forward(m, [sample])[0])
 
 
 def test_forward_zero_input_uniform_logits():
@@ -214,6 +224,28 @@ def test_model_gradient_matches_finite_differences():
     assert set(grads) == set(params)
     for name, arr in params.items():
         assert_grads_close(grads[name], finite_difference(scalar, arr), 1e-4)
+
+
+def test_batch_gradients_sum_per_sample_gradients():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(5, 16, 24))
+    probe = rng.normal(size=(5, 8))
+    for m in dense_and_lowrank(TOY):
+        logits, tape = forward_features_tape(m, x)
+        assert logits.shape == (5, 8)
+        batched = backward_features(m, tape, probe)
+        summed = {}
+        for sample, row in zip(x, probe):
+            _, tape = forward_features_tape(m, sample)
+            for name, g in backward_features(m, tape, row[None, :]).items():
+                summed[name] = summed.get(name, 0.0) + g
+        assert list(batched) == list(summed) == list(named_params(m))
+        # Relative to the largest entry of the whole gradient: the batch
+        # sums its rows in another order, and some entries (the K biases)
+        # are 0 in exact arithmetic, so they hold only rounding noise.
+        scale = max(np.abs(g).max() for g in summed.values())
+        for name, g in summed.items():
+            assert np.abs(batched[name] - g).max() <= 1e-12 * scale, name
 
 
 def test_full_rank_compression_keeps_logits():
