@@ -13,7 +13,7 @@ import os
 import sys
 
 from .compress import PlanParseError, compress_model, parse_plan, rank_sweep, sweep_to_csv
-from .container import ContainerError
+from .container import ContainerError, write_atomic
 from .data import DatasetSpec, generate_dataset, load_dataset, save_dataset
 from .finetune import TrainConfig, evaluate, train
 from .model import (
@@ -188,8 +188,7 @@ def cmd_train(args):
     trained, history = train(model, train_samples, test_samples, tcfg)
     save_model(args.out, trained)
     history_path = _history_path(settings)
-    with open(history_path, "w") as fh:
-        fh.write(history.to_csv())
+    write_atomic(history_path, history.to_csv().encode())
     last = history.records[-1]
     print(f"final test top-1: {last.test_top1:.4f} "
           f"(best {history.best_top1:.4f} at epoch {history.best_epoch})")
@@ -209,8 +208,7 @@ def cmd_compress(args):
     compressed, report = compress_model(model, plan)
     save_model(args.out, compressed)
     report_path = settings["report"] or args.out + ".report.csv"
-    with open(report_path, "w") as fh:
-        fh.write(report.to_csv())
+    write_atomic(report_path, report.to_csv().encode())
     print(f"params: {report.params_before} -> {report.params_after}")
     print(f"flops (T={report.reference_frames}): "
           f"{report.flops_before} -> {report.flops_after}")
@@ -234,8 +232,7 @@ def cmd_sweep(args):
     if not grid:
         raise ValueError(f"no plans found in grid file {args.grid}")
     rows = rank_sweep(model, test_samples, grid)
-    with open(args.out, "w") as fh:
-        fh.write(sweep_to_csv(rows))
+    write_atomic(args.out, sweep_to_csv(rows).encode())
     for row in rows:
         print(f"{row.plan}: params={row.params} top1={row.top1:.4f}")
     print(f"wrote {args.out}")
@@ -253,8 +250,7 @@ def cmd_finetune(args):
     tuned, history = train(model, train_samples, test_samples, tcfg)
     save_model(args.out, tuned)
     history_path = _history_path(settings)
-    with open(history_path, "w") as fh:
-        fh.write(history.to_csv())
+    write_atomic(history_path, history.to_csv().encode())
     last = history.records[-1]
     print(f"final test top-1: {last.test_top1:.4f} "
           f"(best {history.best_top1:.4f} at epoch {history.best_epoch})")

@@ -22,6 +22,7 @@ import numpy as np
 
 from .model import (
     SkeletonModel,
+    _score_features,
     backward_features,
     cross_entropy,
     forward,
@@ -110,10 +111,11 @@ def evaluate(model: SkeletonModel, samples) -> float:
     """Top-1 accuracy; argmax ties resolve to the lowest class index."""
     if not samples:
         raise ValueError("empty evaluation set")
-    logits = forward(model, samples)
-    preds = np.argmax(logits, axis=1)
-    labels = np.array([s.label for s in samples])
-    return float(np.mean(preds == labels))
+    return _top1(forward(model, samples), np.array([s.label for s in samples]))
+
+
+def _top1(logits, labels) -> float:
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 def _diverged(epoch, index, lr) -> RuntimeError:
@@ -131,8 +133,11 @@ def train(model: SkeletonModel, train_samples, test_samples,
     labels = np.array([s.label for s in train_samples], dtype=np.int64)
     if labels.min() < 0 or labels.max() >= mcfg.classes:
         raise ValueError(f"label out of range [0, {mcfg.classes})")
-    for s in test_samples:
-        sample_features(s.coords, mcfg)
+    # Validated once; every epoch scores these views of the clips, stacking
+    # one chunk at a time as ``forward`` does (a full stack would only add
+    # the test set's size to peak memory).
+    test_feats = [sample_features(s.coords, mcfg) for s in test_samples]
+    test_labels = np.array([s.label for s in test_samples])
 
     trained = model.copy()
     params = named_params(trained)
@@ -160,7 +165,7 @@ def train(model: SkeletonModel, train_samples, test_samples,
                 for name, value in params.items():
                     value -= lr * grads[name]
             try:
-                top1 = evaluate(trained, test_samples)
+                top1 = _top1(_score_features(trained, test_feats), test_labels)
             except ValueError as exc:
                 # The test set was validated above, so only non-finite test
                 # logits, from the last batch's update, can land here.

@@ -4,11 +4,17 @@ Matrices are plain float64 numpy arrays throughout the package. This module
 owns the decomposition used for rank reduction: a full SVD built from
 one-sided Jacobi rotations, plus truncation into a cascaded factor pair and
 the closed-form truncation error.
+
+The SVD reduces a tall input to its square QR triangle first (Drmac &
+Veselic 2008), then orthogonalises columns in round-robin order (Brent &
+Luk 1985): each sweep is n-1 steps (n when n is odd), and each step
+rotates up to n/2 disjoint column pairs as one vectorised update. numpy's
+QR is the only LAPACK routine it uses; ``np.linalg.svd`` stays an
+independent test oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +63,12 @@ class SvdResult:
 
 
 def svd(a, tol: float = DEFAULT_SVD_TOL) -> SvdResult:
-    """Full SVD via one-sided Jacobi rotations.
+    """Full SVD via one-sided Jacobi rotations in round-robin order.
+
+    A tall input is first reduced by a Householder QR, ``a = Q [R; 0]``, so
+    the rotations work on the cols x cols triangle R; a wide input goes
+    through its transpose. Each Jacobi sweep runs as n-1 steps (n when n is
+    odd) that each rotate up to n/2 disjoint column pairs at once.
 
     Parameters
     ----------
@@ -77,72 +88,115 @@ def svd(a, tol: float = DEFAULT_SVD_TOL) -> SvdResult:
         raise ValueError("tol must be positive")
     m, n = a.shape
     if m >= n:
-        u, sigma, v = _jacobi_svd(a, tol)
-        vt = v.T.copy()
+        u, sigma, vt = _jacobi_svd(a, tol)
     else:
         # Work on the transpose so columns outnumber rows never happens:
-        # a.T = ub S vb.T  =>  a = vb S ub.T
-        ub, sigma, vb = _jacobi_svd(a.T, tol)
-        u = vb
-        vt = ub.T.copy()
+        # a.T = ub S vbt  =>  a = vbt.T S ub.T
+        ub, sigma, vbt = _jacobi_svd(a.T, tol)
+        u = np.ascontiguousarray(vbt.T)
+        vt = np.ascontiguousarray(ub.T)
     _apply_sign_convention(u, vt, sigma.size)
     return SvdResult(u=u, sigma=sigma, vt=vt)
 
 
 def _jacobi_svd(b, tol):
-    """One-sided Jacobi for rows >= cols; returns (u full, sigma, v full)."""
+    """SVD of ``b`` with rows >= cols; returns (u full, sigma, vt full).
+
+    A tall ``b`` = Q [R; 0] (complete Householder QR) has the singular
+    values and right vectors of R, and left vectors [Q_1 U_R | Q_2]: the
+    trailing columns of Q already complete the basis.
+    """
     rows, cols = b.shape
-    work = b.copy()
-    v = np.eye(cols)
-    converged = False
+    if rows == cols:
+        return _jacobi_square(b, tol)
+    q, r = np.linalg.qr(b, mode="complete")
+    u_r, sigma, vt = _jacobi_square(r[:cols], tol)
+    u = np.empty((rows, rows))
+    u[:, :cols] = q[:, :cols] @ u_r
+    u[:, cols:] = q[:, cols:]
+    return u, sigma, vt
+
+
+def _jacobi_square(b, tol):
+    """One-sided Jacobi on a square ``b``; returns (u, sigma, vt).
+
+    Row i of the work array holds column i of the rotated matrix followed
+    by column i of the accumulated V, so rotating a column pair updates two
+    contiguous rows, and one step updates all its pairs with one batched
+    2 x 2 matmul. Pairs already orthogonal to ``tol`` are left out of the
+    step; a sweep without any rotation ends the iteration.
+    """
+    n = b.shape[0]
+    work = np.concatenate([b.T, np.eye(n)], axis=1)
+    schedule = _round_robin(n)
     for _ in range(MAX_SWEEPS):
         rotated = False
-        for p in range(cols - 1):
-            for q in range(p + 1, cols):
-                gamma = float(work[:, p] @ work[:, q])
-                alpha = float(work[:, p] @ work[:, p])
-                beta = float(work[:, q] @ work[:, q])
-                if abs(gamma) <= tol * math.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                new_p = c * work[:, p] - s * work[:, q]
-                new_q = s * work[:, p] + c * work[:, q]
-                work[:, p] = new_p
-                work[:, q] = new_q
-                new_vp = c * v[:, p] - s * v[:, q]
-                new_vq = s * v[:, p] + c * v[:, q]
-                v[:, p] = new_vp
-                v[:, q] = new_vq
+        for pairs in schedule:
+            x = work[pairs]  # pairs x 2 x 2n
+            xb = x[:, :, :n]
+            norms = np.einsum("kij,kij->ki", xb, xb)
+            alpha, beta = norms[:, 0], norms[:, 1]
+            gamma = np.einsum("ij,ij->i", xb[:, 0], xb[:, 1])
+            active = np.abs(gamma) > tol * np.sqrt(alpha * beta)
+            n_active = np.count_nonzero(active)
+            if not n_active:
+                continue
+            rotated = True
+            if n_active < active.size:
+                pairs, x = pairs[active], x[active]
+                alpha, beta, gamma = alpha[active], beta[active], gamma[active]
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+            c = 1.0 / np.hypot(1.0, t)
+            s = c * t
+            # new_p = c b_p - s b_q,  new_q = s b_p + c b_q
+            rot = np.array([c, -s, s, c]).T.reshape(-1, 2, 2)
+            work[pairs] = rot @ x
         if not rotated:
-            converged = True
             break
-    if not converged:
+    else:
         raise SvdConvergenceError(
             f"no convergence after {MAX_SWEEPS} sweeps; "
-            f"max relative column coupling {_worst_coupling(work):.3e}"
+            f"max relative column coupling {_worst_coupling(work[:, :n]):.3e}"
         )
-    sigma = np.sqrt(np.sum(work * work, axis=0))
+    cols = work[:, :n]
+    sigma = np.sqrt(np.einsum("ij,ij->i", cols, cols))
     order = np.argsort(-sigma, kind="stable")  # ties keep the earlier index
     sigma = sigma[order]
-    work = work[:, order]
-    v = np.ascontiguousarray(v[:, order])
-    u = np.zeros((rows, rows))
-    have = np.zeros(rows, dtype=bool)
-    for j in range(cols):
-        if sigma[j] > 0.0:
-            u[:, j] = work[:, j] / sigma[j]
-            have[j] = True
-    _complete_basis(u, have)
-    return u, sigma, v
+    cols = cols[order]
+    vt = work[order, n:]
+    u = np.zeros((n, n))
+    have = sigma > 0.0
+    u[:, have] = (cols[have] / sigma[have, None]).T
+    if not have.all():
+        _complete_basis(u, have)
+    return u, sigma, vt
 
 
-def _worst_coupling(work):
-    norms = np.sqrt(np.sum(work * work, axis=0))
-    gram = np.abs(work.T @ work)
+def _round_robin(n):
+    """Round-robin (tournament) pair order for n columns, after Brent & Luk
+    (1985): steps of disjoint (p, q) pairs, p < q, that together meet every
+    pair once. An even n takes n-1 steps. An odd n takes n: it gets one
+    padding column, which is zero and so never rotates, and the pairs with
+    it are left out instead of stored."""
+    m = n + n % 2
+    ring = np.arange(1, m)
+    steps = []
+    for shift in range(m - 1):
+        seats = np.concatenate([[0], np.roll(ring, shift)])
+        # Seat i plays seat m-1-i; each pair lists its lower column first.
+        pairs = np.stack([seats[:m // 2], seats[:m // 2 - 1:-1]], axis=1)
+        pairs.sort(axis=1)
+        pairs = pairs[pairs[:, 1] < n]
+        if pairs.size:
+            steps.append(pairs)
+    return steps
+
+
+def _worst_coupling(cols):
+    """Largest |b_p . b_q| / (||b_p|| ||b_q||) over the rows of ``cols``."""
+    norms = np.sqrt(np.einsum("ij,ij->i", cols, cols))
+    gram = np.abs(cols @ cols.T)
     np.fill_diagonal(gram, 0.0)
     denom = np.outer(norms, norms)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -151,18 +205,13 @@ def _worst_coupling(work):
 
 
 def _complete_basis(u, have):
-    """Fill the unset columns of ``u`` with a deterministic orthonormal
-    completion, greedily picking the standard basis vector farthest from the
-    current span (first index wins ties)."""
-    dim = u.shape[0]
-    for j in np.flatnonzero(~have):
-        span = u[:, np.flatnonzero(have)]
-        resid = np.eye(dim) - span @ span.T
-        pick = int(np.argmax(np.sqrt(np.sum(resid * resid, axis=0))))
-        vec = resid[:, pick].copy()
-        vec -= span @ (span.T @ vec)  # second pass for orthogonality
-        u[:, j] = vec / np.sqrt(np.sum(vec * vec))
-        have[j] = True
+    """Fill the columns of ``u`` not marked in ``have`` with an orthonormal
+    basis of the complement of the marked ones: the trailing columns of one
+    complete Householder QR of ``[span | I]``, whose leading columns span
+    the marked ones. Deterministic, and exactly I for an empty span."""
+    span = u[:, have]
+    q, _ = np.linalg.qr(np.hstack([span, np.eye(u.shape[0])]), mode="complete")
+    u[:, ~have] = q[:, span.shape[1]:]
 
 
 def _apply_sign_convention(u, vt, r):

@@ -234,6 +234,13 @@ def forward(model: SkeletonModel, samples) -> np.ndarray:
     feats = [sample_features(_coords_of(s), model.config) for s in samples]
     if not feats:
         raise ValueError("empty batch")
+    return _score_features(model, feats)
+
+
+def _score_features(model: SkeletonModel, feats) -> np.ndarray:
+    """Logits for a list of validated T x 3J feature matrices, run through
+    the model in stacked chunks of ``_FORWARD_CHUNK`` samples; raises
+    ValueError when a logit is not finite."""
     logits = np.vstack([
         forward_features(model, np.stack(feats[i:i + _FORWARD_CHUNK]))
         for i in range(0, len(feats), _FORWARD_CHUNK)

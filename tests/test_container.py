@@ -10,6 +10,7 @@ from lrskel.container import (
     UnsupportedVersionError,
     read_samples,
     read_weights,
+    write_atomic,
     write_samples,
     write_weights,
 )
@@ -137,3 +138,45 @@ def test_samples_reject_weights_magic(tmp_path):
     write_weights(path, {"t": np.ones(2)})
     with pytest.raises(BadMagicError):
         read_samples(path)
+
+
+class _FailingFile:
+    """File wrapper whose write stores half the payload, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(bytes(data[:len(data) // 2]))
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("kind", ["weights", "samples", "bytes"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, kind):
+    import lrskel.container as container
+
+    path = tmp_path / "target"
+    writers = {
+        "weights": lambda: write_weights(path, {"x": np.arange(6.0)}),
+        "samples": lambda: write_samples(
+            path, [SkeletonSample(coords=np.ones((2, 3, 3)), label=1)]),
+        "bytes": lambda: write_atomic(path, b"new contents"),
+    }
+    path.write_bytes(b"previous contents")
+    monkeypatch.setattr(container, "open",
+                        lambda *a, **k: _FailingFile(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        writers[kind]()
+    monkeypatch.undo()
+    assert path.read_bytes() == b"previous contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["target"]
+    writers[kind]()
+    assert path.read_bytes() != b"previous contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["target"]

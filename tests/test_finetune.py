@@ -148,6 +148,25 @@ def test_training_deterministic():
         assert np.array_equal(arr, named_params(m2)[name])
 
 
+def test_train_validates_each_clip_once(monkeypatch):
+    # The test clips are validated once, not again by every epoch's scoring.
+    import lrskel.finetune
+    import lrskel.model
+
+    calls = []
+    original = lrskel.model.sample_features
+
+    def counted(coords, cfg):
+        calls.append(1)
+        return original(coords, cfg)
+
+    monkeypatch.setattr(lrskel.model, "sample_features", counted)
+    monkeypatch.setattr(lrskel.finetune, "sample_features", counted)
+    model, tr, te = small_setup()
+    train(model, tr, te, TrainConfig(base_lr=0.05, epochs=3, batch_size=4))
+    assert len(calls) == len(tr) + len(te)
+
+
 def test_training_does_not_mutate_input_model():
     model, tr, te = small_setup()
     before = {n: a.copy() for n, a in named_params(model).items()}

@@ -104,6 +104,94 @@ def test_svd_determinism():
     assert np.array_equal(s1.vt, s2.vt)
 
 
+# Every weight shape the models decompose: the default model (d_model 32,
+# 4 heads, 8 joints, 8 classes) and the d_model 216 one of criterion 3.
+MODEL_SHAPES = [(32, 32), (24, 32), (32, 8), (8, 32),
+                (216, 216), (216, 54), (24, 216), (216, 8)]
+
+
+def _shape_id(shape):
+    return f"{shape[0]}x{shape[1]}"
+
+
+def _check_against_oracle(a):
+    """Invariants, singular values within 1e-12 * sigma_0 of LAPACK's, and
+    the same bytes from a second call."""
+    s = svd(a)
+    _check_invariants(a, s)
+    ref = np.linalg.svd(a, compute_uv=False)
+    assert np.abs(s.sigma - ref).max() <= 1e-12 * ref[0]
+    again = svd(a)
+    for first, second in ((s.u, again.u), (s.sigma, again.sigma),
+                          (s.vt, again.vt)):
+        assert first.tobytes() == second.tobytes()
+    return s
+
+
+@pytest.mark.parametrize("shape", MODEL_SHAPES, ids=_shape_id)
+def test_svd_model_shapes_match_oracle(shape):
+    # Glorot-uniform, as build_model initialises the layers.
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    bound = math.sqrt(6.0 / (shape[0] + shape[1]))
+    _check_against_oracle(rng.uniform(-bound, bound, size=shape))
+
+
+@pytest.mark.parametrize("shape", [(216, 54), (54, 216)], ids=_shape_id)
+def test_svd_rank_deficient_model_shapes(shape):
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(shape[0], 5)) @ rng.normal(size=(5, shape[1]))
+    s = _check_against_oracle(a)
+    assert np.sum(s.sigma > 1e-10 * s.sigma[0]) == 5
+
+
+@pytest.mark.parametrize("shape", [(216, 54), (54, 216)], ids=_shape_id)
+def test_svd_completes_basis_for_exact_zero_singular_values(shape):
+    # Only five columns (rows, when wide) are non-zero, so the QR triangle
+    # has exactly zero columns and 49 singular vectors come from completion.
+    rng = np.random.default_rng(6)
+    tall = np.zeros((max(shape), min(shape)))
+    tall[:, :5] = rng.normal(size=(max(shape), 5))
+    a = tall if shape[0] > shape[1] else tall.T
+    s = _check_against_oracle(a)
+    assert np.count_nonzero(s.sigma) == 5
+
+
+def test_svd_tall_zero_matrix_has_exactly_orthogonal_factors():
+    s = svd(np.zeros((216, 54)))
+    assert np.array_equal(s.sigma, np.zeros(54))
+    assert np.array_equal(s.u.T @ s.u, np.eye(216))
+    assert np.array_equal(s.u @ s.u.T, np.eye(216))
+    assert np.array_equal(s.vt @ s.vt.T, np.eye(54))
+    assert np.array_equal(s.vt.T @ s.vt, np.eye(54))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 54, 216])
+def test_round_robin_meets_every_pair_once(n):
+    from lrskel.linalg import _round_robin
+
+    steps = _round_robin(n)
+    # n - 1 steps for even n; odd n pads to n + 1 columns, so n steps.
+    assert len(steps) == (0 if n == 1 else n - 1 + n % 2)
+    met = []
+    for pairs in steps:
+        assert pairs.shape[1] == 2 and np.all(pairs[:, 0] < pairs[:, 1])
+        assert len(set(pairs.ravel().tolist())) == pairs.size  # disjoint
+        met += [tuple(p) for p in pairs.tolist()]
+    assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def test_package_uses_no_lapack_svd_or_eig():
+    # LAPACK's SVD is this suite's oracle, so the package must not use it.
+    import pathlib
+    import re
+
+    import lrskel
+
+    pattern = re.compile(r"\b(np|numpy)\.linalg\.(svd|eig)\w*\(")
+    for path in pathlib.Path(lrskel.__file__).parent.glob("*.py"):
+        assert not pattern.search(path.read_text()), path.name
+
+
 def test_truncate_full_rank_is_exact():
     rng = np.random.default_rng(13)
     a = rng.normal(size=(6, 9))
