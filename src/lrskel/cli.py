@@ -12,7 +12,8 @@ import json
 import os
 import sys
 
-from .compress import PlanParseError, compress_model, parse_plan, rank_sweep, sweep_to_csv
+from .compress import (PlanParseError, _check_plan, compress_model, parse_plan,
+                       rank_sweep, sweep_to_csv)
 from .container import ContainerError, write_atomic
 from .data import DatasetSpec, generate_dataset, load_dataset, save_dataset
 from .finetune import TrainConfig, evaluate, train
@@ -225,10 +226,16 @@ def cmd_sweep(args):
     test_samples = load_dataset(os.path.join(args.data, TEST_FILE))
     grid = []
     with open(args.grid) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             text = line.split("#", 1)[0].strip()
-            if text:
-                grid.append(parse_plan(text))
+            if not text:
+                continue
+            try:
+                plan = parse_plan(text)
+                _check_plan(model, plan)
+            except ValueError as exc:
+                raise ValueError(f"{args.grid}:{lineno}: {exc}") from None
+            grid.append(plan)
     if not grid:
         raise ValueError(f"no plans found in grid file {args.grid}")
     rows = rank_sweep(model, test_samples, grid)

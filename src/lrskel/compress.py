@@ -17,7 +17,8 @@ import numpy as np
 from .layers import LowRankLinear
 from .linalg import frobenius, reconstruction_error, svd, truncate_to_factors
 from .model import (GROUP_EMBED, GROUP_HEAD, GROUP_K, GROUP_O, GROUP_Q, GROUP_V,
-                    SkeletonModel, count_flops, count_params, map_layers)
+                    SkeletonModel, count_flops, count_params, map_layers,
+                    named_layers)
 
 # Canonical group order of a rendered plan.
 GROUP_ORDER = (GROUP_Q, GROUP_K, GROUP_V, GROUP_O, GROUP_EMBED, GROUP_HEAD)
@@ -157,6 +158,36 @@ def compress_model(model: SkeletonModel, plan: CompressionPlan):
     Every ranked dense layer becomes a LowRankLinear built from its
     truncated SVD, with the bias copied unchanged.
     """
+    return _compress(model, plan)
+
+
+def _check_plan(model: SkeletonModel, plan: CompressionPlan) -> None:
+    """Raise ValueError unless every layer ``plan`` ranks is dense and at
+    least as wide as its rank in both dimensions."""
+    for name, layer, group in named_layers(model):
+        k = plan.rank_for(group)
+        if k is None:
+            continue
+        if layer.kind != "dense":
+            raise ValueError(
+                f"layer {name} in group {group} is already low-rank; "
+                "compress the original dense weights instead"
+            )
+        min_dim = min(layer.c_in, layer.c_out)
+        if k > min_dim:
+            raise ValueError(
+                f"rank {k} exceeds min dimension {min_dim} of layer {name}"
+            )
+
+
+def _compress(model: SkeletonModel, plan: CompressionPlan, decomps=None):
+    """``compress_model``; given a ``decomps`` dict, each ranked layer's SVD
+    is taken from it by layer name, or computed and stored there.
+
+    Without one, each SVD is dropped once its layer is built, so a single
+    compression holds one decomposition at a time.
+    """
+    _check_plan(model, plan)
     rows = []
 
     def visit(name, layer, group):
@@ -169,17 +200,12 @@ def compress_model(model: SkeletonModel, plan: CompressionPlan):
                 recon_fro=0.0, recon_rel=0.0,
             ))
             return layer.copy()
-        if layer.kind != "dense":
-            raise ValueError(
-                f"layer {name} in group {group} is already low-rank; "
-                "compress the original dense weights instead"
-            )
-        min_dim = min(layer.c_in, layer.c_out)
-        if k > min_dim:
-            raise ValueError(
-                f"rank {k} exceeds min dimension {min_dim} of layer {name}"
-            )
-        decomp = svd(layer.weight)
+        if decomps is None:
+            decomp = svd(layer.weight)
+        else:
+            decomp = decomps.get(name)
+            if decomp is None:
+                decomp = decomps[name] = svd(layer.weight)
         factors = truncate_to_factors(decomp, k)
         recon = reconstruction_error(decomp, k)
         norm = frobenius(layer.weight)
@@ -216,14 +242,24 @@ class SweepRow:
 
 def rank_sweep(model: SkeletonModel, test_samples, grid) -> list:
     """Compress ``model`` under each plan and score raw (unfinetuned)
-    accuracy; rows come back in grid order."""
+    accuracy; rows come back in grid order.
+
+    Every plan is checked against the model before any work starts. Each
+    ranked layer is decomposed once per sweep, on first use, and that one
+    SVD is truncated for every plan that ranks the layer.
+    """
     from .finetune import evaluate
 
     if not grid:
         raise ValueError("empty plan grid")
+    if not test_samples:
+        raise ValueError("empty evaluation set")
+    for plan in grid:
+        _check_plan(model, plan)
+    decomps = {}
     rows = []
     for plan in grid:
-        compressed, report = compress_model(model, plan)
+        compressed, report = _compress(model, plan, decomps)
         rows.append(SweepRow(
             plan=plan.render(),
             params=report.params_after,

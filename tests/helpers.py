@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from lrskel import compress
+
 FD_STEP = 1e-5
 
 
@@ -43,3 +45,17 @@ def naive_matmul(a, b):
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
     return out
+
+
+def counting_svd(monkeypatch):
+    """Route ``compress.svd`` through a wrapper that records each input
+    matrix; returns the list of recorded inputs."""
+    calls = []
+    real = compress.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(compress, "svd", counted)
+    return calls

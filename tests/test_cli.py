@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import counting_svd
 from lrskel.cli import main
 from lrskel.data import load_dataset
 from lrskel.finetune import evaluate
@@ -219,6 +220,27 @@ def test_sweep_empty_grid_is_runtime_error(workspace, capsys):
     grid.write_text("# nothing here\n")
     assert main(["sweep", str(model), str(data), "--grid", str(grid),
                  "--out", str(tmp_path / "s.csv")]) == 1
+
+
+def test_sweep_bad_grid_line_fails_before_any_svd(workspace, capsys, monkeypatch):
+    tmp_path, data, model = workspace
+    calls = counting_svd(monkeypatch)
+    grid = tmp_path / "grid.txt"
+    out = tmp_path / "s.csv"
+    cases = (
+        ("q=1\nq=9\n", "grid.txt:2: rank 9 exceeds min dimension"),
+        ("full\n# comment\nq=\n", "grid.txt:3: bad rank ''"),
+    )
+    for text, message in cases:
+        grid.write_text(text)
+        capsys.readouterr()
+        assert main(["sweep", str(model), str(data), "--grid", str(grid),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert message in err[0]
+        assert not out.exists()
+        assert calls == []
 
 
 def test_finetune_runs_and_is_deterministic(workspace):

@@ -1,12 +1,16 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 
+from helpers import counting_svd
+from lrskel import compress
 from lrskel.compress import (
     CompressionPlan,
     PlanParseError,
     REPORT_HEADER,
+    SweepRow,
     compress_model,
     parse_plan,
     rank_sweep,
@@ -144,6 +148,24 @@ def test_compress_does_not_mutate_source():
     assert param_digest(m) == digest
 
 
+def test_compress_model_holds_one_decomposition_at_a_time(monkeypatch):
+    m = toy_model()
+    refs, most_alive = [], 0
+    real = compress.svd
+
+    def tracked(a):
+        nonlocal most_alive
+        result = real(a)
+        refs.append(weakref.ref(result))
+        most_alive = max(most_alive, sum(r() is not None for r in refs))
+        return result
+
+    monkeypatch.setattr(compress, "svd", tracked)
+    compress_model(m, parse_plan("q=1,k=1,v=1,o=1,embed=1,head=1"))
+    assert len(refs) == len(named_layers(m))
+    assert most_alive == 1
+
+
 def test_rank_too_large_names_layer():
     m = toy_model()
     with pytest.raises(ValueError, match="blocks.0.heads.0.wv"):
@@ -225,6 +247,65 @@ def test_rank_sweep_rejects_empty_grid():
     m = toy_model()
     with pytest.raises(ValueError):
         rank_sweep(m, [], [])
+
+
+def per_plan_rows(model, test, grid):
+    rows = []
+    for plan in grid:
+        compressed, report = compress_model(model, plan)
+        rows.append(SweepRow(plan.render(), report.params_after,
+                             evaluate(compressed, test)))
+    return rows
+
+
+SWEEP_GRID = ("full", "q=1", "v=2", "q=1,k=1,v=1,o=1,embed=1,head=1",
+              "q=2,k=2,v=2,o=2,embed=2,head=2", "o=2,head=1")
+
+
+def test_rank_sweep_decomposes_each_layer_once(trained_toy, monkeypatch):
+    m, test = trained_toy
+    calls = counting_svd(monkeypatch)
+    rank_sweep(m, test, [parse_plan(t) for t in SWEEP_GRID])
+    weights = [layer.weight for _, layer, _ in named_layers(m)]
+    assert len(calls) == len(weights)
+    assert sorted(map(id, calls)) == sorted(map(id, weights))
+
+
+def test_rank_sweep_rows_equal_per_plan_compression(trained_toy):
+    m, test = trained_toy
+    grid = [parse_plan(t) for t in SWEEP_GRID]
+    assert rank_sweep(m, test, grid) == per_plan_rows(m, test, grid)
+
+
+def test_rank_sweep_decomposes_afresh_on_every_call(trained_toy):
+    trained, test = trained_toy
+    m, _ = compress_model(trained, CompressionPlan())
+    grid = [parse_plan(t) for t in ("v=1", "q=1,k=1,v=1", "full")]
+    first = rank_sweep(m, test, grid)
+    assert first == per_plan_rows(m, test, grid)
+    for name, layer, _ in named_layers(m):
+        if name.endswith(".wv"):
+            layer.weight[...] = np.random.default_rng(3).normal(
+                size=layer.weight.shape)
+    second = rank_sweep(m, test, grid)
+    assert second != first
+    assert second == per_plan_rows(m, test, grid)
+
+
+def test_rank_sweep_checks_every_plan_before_any_svd(trained_toy, monkeypatch):
+    m, test = trained_toy
+    calls = counting_svd(monkeypatch)
+    lowrank, _ = compress_model(m, parse_plan("v=1"))
+    cases = (
+        (m, test, ["q=1", "v=9999"], "rank 9999 exceeds"),
+        (lowrank, test, ["q=1", "v=1"], "already low-rank"),
+        (m, [], ["q=1"], "empty evaluation set"),
+    )
+    for model, samples, texts, message in cases:
+        calls.clear()
+        with pytest.raises(ValueError, match=message):
+            rank_sweep(model, samples, [parse_plan(t) for t in texts])
+        assert calls == []
 
 
 def test_sweep_csv(trained_toy):
