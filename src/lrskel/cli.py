@@ -49,11 +49,19 @@ class UsageError(Exception):
     pass
 
 
-def _as_int(settings, key):
+def _integer(value, what):
+    """``value`` as an int; a bool or a non-integral number is a UsageError."""
+    fractional = isinstance(value, float) and not value.is_integer()
     try:
-        return int(settings[key])
+        if not (isinstance(value, bool) or fractional):
+            return int(value)
     except (TypeError, ValueError):
-        raise UsageError(f"--{key.replace('_', '-')} must be an integer") from None
+        pass
+    raise UsageError(f"{what} must be an integer, got {value!r}")
+
+
+def _as_int(settings, key):
+    return _integer(settings[key], f"--{key.replace('_', '-')}")
 
 
 def _as_float(settings, key):
@@ -98,15 +106,10 @@ def _resolve(args, defaults, extra):
 
 
 def _parse_milestones(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    text = str(value).strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise UsageError(f"bad milestones {value!r}; expected e.g. 5,15,25") from None
+    if not isinstance(value, (list, tuple)):
+        text = str(value).strip()
+        value = text.split(",") if text else ()
+    return tuple(_integer(v, "each of --milestones") for v in value)
 
 
 def _load_splits(data_dir):

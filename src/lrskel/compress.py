@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -205,7 +205,8 @@ def _compress(model: SkeletonModel, plan: CompressionPlan, decomps=None):
         else:
             decomp = decomps.get(name)
             if decomp is None:
-                decomp = decomps[name] = svd(layer.weight)
+                full = svd(layer.weight)  # truncation reads u[:, :sigma.size] only
+                decomp = decomps[name] = replace(full, u=full.u[:, :full.sigma.size].copy())
         factors = truncate_to_factors(decomp, k)
         recon = reconstruction_error(decomp, k)
         norm = frobenius(layer.weight)

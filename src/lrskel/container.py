@@ -153,8 +153,8 @@ def read_weights(path) -> dict:
 
 
 def write_samples(path, samples) -> None:
-    """Write skeleton samples; each must expose ``label`` and T x J x 3
-    float ``coords``."""
+    """Write skeleton samples; each must expose ``label`` and finite
+    T x J x 3 float ``coords``. All are checked before the file is opened."""
     blob = bytearray()
     blob += DATASET_MAGIC
     blob += struct.pack("<I", FORMAT_VERSION)
@@ -163,6 +163,8 @@ def write_samples(path, samples) -> None:
         coords = np.ascontiguousarray(s.coords, dtype="<f8")
         if coords.ndim != 3 or coords.shape[2] != 3:
             raise ValueError(f"coords must be T x J x 3, got {coords.shape}")
+        if not np.isfinite(coords).all():
+            raise ValueError("coords contain non-finite entries")
         if s.label < 0 or s.label > 0xFFFFFFFF:
             raise ValueError(f"label {s.label} out of u32 range")
         blob += struct.pack("<III", s.label, coords.shape[0], coords.shape[1])

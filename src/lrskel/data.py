@@ -46,8 +46,8 @@ class DatasetSpec:
                      "frames", "joints"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
@@ -82,12 +82,12 @@ def _generate_split(spec, amps, phases, per_class, rng):
             + phases[label][None, :, :]
         )
         base = amps[label][None, :, :] * np.sin(angle)
-        for _ in range(per_class):
-            if spec.noise_sigma > 0.0:
-                coords = base + rng.normal(0.0, spec.noise_sigma, size=base.shape)
-            else:
-                coords = base.copy()
-            samples.append(SkeletonSample(coords=coords, label=label))
+        if spec.noise_sigma > 0.0:
+            # One draw per class gives the same stream as one draw per clip.
+            noise = rng.normal(0.0, spec.noise_sigma, size=(per_class,) + base.shape)
+            samples += [SkeletonSample(coords=base + n, label=label) for n in noise]
+        else:
+            samples += [SkeletonSample(coords=base.copy(), label=label) for _ in range(per_class)]
     return samples
 
 

@@ -7,14 +7,15 @@ the closed-form truncation error.
 
 The SVD reduces a tall input to its square QR triangle first (Drmac &
 Veselic 2008), then orthogonalises columns in round-robin order (Brent &
-Luk 1985): each sweep is n-1 steps (n when n is odd), and each step
-rotates up to n/2 disjoint column pairs as one vectorised update. numpy's
-QR is the only LAPACK routine it uses; ``np.linalg.svd`` stays an
-independent test oracle.
+Luk 1985): each sweep is n-1 steps (n when n is odd); each step tests up
+to n/2 disjoint column pairs at once and rotates the coupled ones in two
+arrays, the columns and the accumulated V. numpy's QR is the only LAPACK
+routine it uses; ``np.linalg.svd`` stays an independent test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,23 +121,27 @@ def _jacobi_svd(b, tol):
 def _jacobi_square(b, tol):
     """One-sided Jacobi on a square ``b``; returns (u, sigma, vt).
 
-    Row i of the work array holds column i of the rotated matrix followed
-    by column i of the accumulated V, so rotating a column pair updates two
-    contiguous rows, and one step updates all its pairs with one batched
-    2 x 2 matmul. Pairs already orthogonal to ``tol`` are left out of the
-    step; a sweep without any rotation ends the iteration.
+    Two contiguous arrays hold the state: row i of ``cols`` is column i of
+    the rotated matrix and row i of ``v`` is column i of the accumulated V,
+    so rotating a column pair updates two rows of each. A step gathers only
+    ``cols`` rows to find the pairs not yet orthogonal to ``tol``, then
+    rotates those pairs, and only those, in both arrays with one batched
+    2 x 2 matmul each. A sweep without any rotation ends the iteration.
     """
     n = b.shape[0]
-    work = np.concatenate([b.T, np.eye(n)], axis=1)
+    cols = np.ascontiguousarray(b.T)
+    v = np.eye(n)
     schedule = _round_robin(n)
+    # Step buffers, reused: a fresh pairs x 2 x n block per step costs page
+    # faults. take's "clip" mode (pairs are in range) fills them unbuffered.
+    gathered, rotated_rows = np.empty((2, n // 2, 2, n))
     for _ in range(MAX_SWEEPS):
         rotated = False
         for pairs in schedule:
-            x = work[pairs]  # pairs x 2 x 2n
-            xb = x[:, :, :n]
-            norms = np.einsum("kij,kij->ki", xb, xb)
+            x = cols.take(pairs, 0, gathered[:len(pairs)], "clip")
+            norms = np.einsum("kij,kij->ki", x, x)
             alpha, beta = norms[:, 0], norms[:, 1]
-            gamma = np.einsum("ij,ij->i", xb[:, 0], xb[:, 1])
+            gamma = np.einsum("ij,ij->i", x[:, 0], x[:, 1])
             active = np.abs(gamma) > tol * np.sqrt(alpha * beta)
             n_active = np.count_nonzero(active)
             if not n_active:
@@ -151,20 +156,21 @@ def _jacobi_square(b, tol):
             s = c * t
             # new_p = c b_p - s b_q,  new_q = s b_p + c b_q
             rot = np.array([c, -s, s, c]).T.reshape(-1, 2, 2)
-            work[pairs] = rot @ x
+            cols[pairs] = np.matmul(rot, x, out=rotated_rows[:n_active])
+            x = v.take(pairs, 0, gathered[:n_active], "clip")
+            v[pairs] = np.matmul(rot, x, out=rotated_rows[:n_active])
         if not rotated:
             break
     else:
         raise SvdConvergenceError(
             f"no convergence after {MAX_SWEEPS} sweeps; "
-            f"max relative column coupling {_worst_coupling(work[:, :n]):.3e}"
+            f"max relative column coupling {_worst_coupling(cols):.3e}"
         )
-    cols = work[:, :n]
     sigma = np.sqrt(np.einsum("ij,ij->i", cols, cols))
     order = np.argsort(-sigma, kind="stable")  # ties keep the earlier index
     sigma = sigma[order]
     cols = cols[order]
-    vt = work[order, n:]
+    vt = v[order]
     u = np.zeros((n, n))
     have = sigma > 0.0
     u[:, have] = (cols[have] / sigma[have, None]).T
@@ -173,12 +179,13 @@ def _jacobi_square(b, tol):
     return u, sigma, vt
 
 
+@functools.lru_cache(maxsize=32)
 def _round_robin(n):
     """Round-robin (tournament) pair order for n columns, after Brent & Luk
     (1985): steps of disjoint (p, q) pairs, p < q, that together meet every
     pair once. An even n takes n-1 steps. An odd n takes n: it gets one
     padding column, which is zero and so never rotates, and the pairs with
-    it are left out instead of stored."""
+    it are left out instead of stored. Cached per n: the steps are read-only."""
     m = n + n % 2
     ring = np.arange(1, m)
     steps = []
@@ -189,8 +196,9 @@ def _round_robin(n):
         pairs.sort(axis=1)
         pairs = pairs[pairs[:, 1] < n]
         if pairs.size:
+            pairs.flags.writeable = False
             steps.append(pairs)
-    return steps
+    return tuple(steps)
 
 
 def _worst_coupling(cols):
@@ -215,12 +223,10 @@ def _complete_basis(u, have):
 
 
 def _apply_sign_convention(u, vt, r):
-    for j in range(u.shape[1]):
-        lead = int(np.argmax(np.abs(u[:, j])))
-        if u[lead, j] < 0.0:
-            u[:, j] = -u[:, j]
-            if j < r:
-                vt[j, :] = -vt[j, :]
+    lead = np.argmax(np.abs(u), axis=0)  # the first row on a tie
+    flip = np.flatnonzero(u[lead, np.arange(u.shape[1])] < 0.0)
+    u[:, flip] *= -1.0
+    vt[flip[flip < r]] *= -1.0
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,30 @@ def test_gen_zero_classes_is_usage_error(tmp_path, capsys):
     assert "classes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_gen_non_finite_noise_is_usage_error(tmp_path, capsys, noise):
+    out = tmp_path / "d"
+    assert main(["gen", "--out", str(out), "--noise", noise]) == 2
+    assert "noise_sigma must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", [
+    {"epochs": 1.9}, {"epochs": True},
+    {"milestones": [0.5]}, {"milestones": [None]},
+], ids=["fractional", "bool", "fractional-milestone", "null-milestone"])
+def test_train_non_integer_setting_is_usage_error(tmp_path, capsys, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "m.lrts"
+    assert main(["train", str(tmp_path / "data"), "--out", str(out),
+                 "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+    assert "must be an integer" in err[0]
+    assert not out.exists()
+
+
 def test_gen_echoes_config(tmp_path, capsys):
     main(["gen", "--out", str(tmp_path / "d")] + SMALL_GEN)
     line = next(l for l in capsys.readouterr().out.splitlines()

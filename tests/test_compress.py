@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import counting_svd
 from lrskel import compress
@@ -76,6 +78,30 @@ def test_plan_render_round_trip():
     for text in ("", "full", "q=1,k=3", "v=2", "q=1,k=3,v=2,o=4,embed=5,head=1"):
         plan = parse_plan(text)
         assert parse_plan(plan.render()) == plan
+
+
+PLAN_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
+                         database=None)
+plans = st.dictionaries(
+    st.sampled_from(compress.GROUP_ORDER),
+    st.none() | st.integers(min_value=1, max_value=10**6),
+).map(CompressionPlan)
+
+
+@PLAN_SETTINGS
+@given(plans)
+def test_parse_plan_round_trips_render(plan):
+    assert parse_plan(plan.render()) == plan
+
+
+@PLAN_SETTINGS
+@given(st.text(alphabet="qkvoembdhfulQKVOEMBDHFUL=,0123456789 -+_\t") | st.text())
+def test_parse_plan_accepts_or_raises_plan_parse_error(text):
+    try:
+        plan = parse_plan(text)
+    except PlanParseError:
+        return
+    assert parse_plan(plan.render()) == plan
 
 
 def test_identity_plan_keeps_everything():
@@ -275,6 +301,21 @@ def test_rank_sweep_rows_equal_per_plan_compression(trained_toy):
     m, test = trained_toy
     grid = [parse_plan(t) for t in SWEEP_GRID]
     assert rank_sweep(m, test, grid) == per_plan_rows(m, test, grid)
+
+
+def test_sweep_cache_keeps_only_the_u_columns_truncation_reads():
+    m = toy_model()
+    decomps = {}
+    compress._compress(m, parse_plan("q=1,k=1,v=1,o=1,embed=1,head=1"), decomps)
+    shapes = {(layer.c_in, layer.c_out) for _, layer, _ in named_layers(m)}
+    assert any(r > c for r, c in shapes) and any(r < c for r, c in shapes)
+    for name, layer, _ in named_layers(m):
+        cached, full = decomps[name], svd(layer.weight)
+        r = min(layer.c_in, layer.c_out)
+        assert cached.u.shape == (layer.c_in, r)
+        assert cached.u.tobytes() == full.u[:, :r].tobytes()
+        assert cached.sigma.tobytes() == full.sigma.tobytes()
+        assert cached.vt.tobytes() == full.vt.tobytes()
 
 
 def test_rank_sweep_decomposes_afresh_on_every_call(trained_toy):

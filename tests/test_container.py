@@ -117,6 +117,18 @@ def test_samples_round_trip(tmp_path):
         assert np.array_equal(coords, orig.coords)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_samples_write_rejects_nonfinite_and_leaves_no_file(tmp_path, bad):
+    coords = np.zeros((4, 3, 3))
+    coords[2, 1, 0] = bad
+    samples = [SkeletonSample(coords=np.ones((4, 3, 3)), label=0),
+               SkeletonSample(coords=coords, label=1)]
+    path = tmp_path / "d.lrsk"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_samples(path, samples)
+    assert not path.exists()
+
+
 def test_samples_empty_list(tmp_path):
     path = tmp_path / "empty.lrsk"
     write_samples(path, [])

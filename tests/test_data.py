@@ -3,6 +3,7 @@ import pytest
 
 from lrskel.container import CorruptContainerError
 from lrskel.data import (
+    TEST_STREAM_XOR,
     DatasetSpec,
     SkeletonSample,
     class_frequency,
@@ -18,8 +19,9 @@ SMALL = DatasetSpec(classes=4, train_per_class=6, test_per_class=4,
 def test_spec_validation():
     with pytest.raises(ValueError):
         DatasetSpec(classes=0)
-    with pytest.raises(ValueError):
-        DatasetSpec(noise_sigma=-0.1)
+    for noise in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            DatasetSpec(noise_sigma=noise)
     with pytest.raises(ValueError):
         DatasetSpec(seed=-1)
 
@@ -43,6 +45,30 @@ def test_generation_deterministic():
     for sa, sb in zip(a_train + a_test, b_train + b_test):
         assert sa.label == sb.label
         assert np.array_equal(sa.coords, sb.coords)
+
+
+def test_clip_noise_is_one_draw_per_clip_in_order():
+    # The per-clip reference: class tables first from the train stream, then
+    # one normal draw per clip, class by class, from each split's stream.
+    spec = SMALL
+    shape = (spec.frames, spec.joints, 3)
+    train_rng = np.random.default_rng(spec.seed)
+    amps = train_rng.uniform(0.5, 1.5, size=(spec.classes,) + shape[1:])
+    phases = train_rng.uniform(0.0, 2.0 * np.pi, size=(spec.classes,) + shape[1:])
+    test_rng = np.random.default_rng(spec.seed ^ TEST_STREAM_XOR)
+    t = np.arange(spec.frames, dtype=np.float64)[:, None, None]
+    train, test = generate_dataset(spec)
+    for split, rng, per_class in ((train, train_rng, spec.train_per_class),
+                                  (test, test_rng, spec.test_per_class)):
+        expected = []
+        for label in range(spec.classes):
+            angle = (2.0 * np.pi * class_frequency(label) * t / spec.frames
+                     + phases[label][None, :, :])
+            base = amps[label][None, :, :] * np.sin(angle)
+            for _ in range(per_class):
+                noise = rng.normal(0.0, spec.noise_sigma, size=shape)
+                expected.append((label, (base + noise).tobytes()))
+        assert [(s.label, s.coords.tobytes()) for s in split] == expected
 
 
 def test_noiseless_dominant_frequency_matches_class():

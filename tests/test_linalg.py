@@ -271,3 +271,71 @@ def test_truncation_beats_random_rank_k():
         w1 = rng.normal(size=(6, 2))
         w2 = rng.normal(size=(2, 8))
         assert best <= frobenius(a - w1 @ w2) + 1e-12
+
+
+def test_round_robin_is_built_once_per_size_and_read_only():
+    from lrskel.linalg import _round_robin
+
+    steps = _round_robin(54)
+    assert _round_robin(54) is steps
+    with pytest.raises(ValueError):
+        steps[0][0, 0] = 1
+
+
+def test_svd_of_one_size_is_unaffected_by_calls_in_between():
+    # The step buffers are per call and the cached schedule is read-only,
+    # so nothing carries over from one decomposition to the next.
+    rng = np.random.default_rng(37)
+    a, other = rng.normal(size=(2, 54, 54))
+    first = svd(a)
+    svd(other)
+    again = svd(a)
+    for x, y in ((first.u, again.u), (first.sigma, again.sigma),
+                 (first.vt, again.vt)):
+        assert x.tobytes() == y.tobytes()
+
+
+def _sign_convention_loop(u, vt, r):
+    # The column-by-column reference the vectorised convention replaces.
+    for j in range(u.shape[1]):
+        lead = int(np.argmax(np.abs(u[:, j])))
+        if u[lead, j] < 0.0:
+            u[:, j] = -u[:, j]
+            if j < r:
+                vt[j, :] = -vt[j, :]
+
+
+def test_sign_convention_matches_loop_on_ties_and_rank():
+    from lrskel.linalg import _apply_sign_convention
+
+    # Columns 0 and 1 tie in magnitude between rows 0 and 2: the first row
+    # decides, so column 0 flips and column 1 does not. Columns 2 and 3 flip
+    # in u, but with r = 2 no row of vt past the first two may change.
+    u = np.array([[-0.5, 0.5, 0.1, -0.2],
+                  [0.1, 0.0, -0.9, 0.1],
+                  [0.5, -0.5, 0.2, -0.8],
+                  [0.0, 0.1, 0.0, 0.3]])
+    vt = np.arange(12.0).reshape(4, 3) + 1.0
+    expected_u, expected_vt = u.copy(), vt.copy()
+    _sign_convention_loop(expected_u, expected_vt, 2)
+    _apply_sign_convention(u, vt, 2)
+    assert u.tobytes() == expected_u.tobytes()
+    assert vt.tobytes() == expected_vt.tobytes()
+    assert np.array_equal(u[:, :2], [[0.5, 0.5], [-0.1, 0.0], [-0.5, -0.5],
+                                     [0.0, 0.1]])
+    assert np.array_equal(vt[2:], np.arange(6.0, 12.0).reshape(2, 3) + 1.0)
+    assert np.array_equal(vt[0], -np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (9, 4), (4, 9), (1, 5)])
+def test_sign_convention_matches_loop_on_random_factors(shape):
+    from lrskel.linalg import _apply_sign_convention
+
+    rng = np.random.default_rng(41)
+    m, n = shape
+    u, vt = rng.normal(size=(m, m)), rng.normal(size=(n, n))
+    expected_u, expected_vt = u.copy(), vt.copy()
+    _sign_convention_loop(expected_u, expected_vt, min(m, n))
+    _apply_sign_convention(u, vt, min(m, n))
+    assert u.tobytes() == expected_u.tobytes()
+    assert vt.tobytes() == expected_vt.tobytes()
