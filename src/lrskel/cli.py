@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -65,10 +66,18 @@ def _as_int(settings, key):
 
 
 def _as_float(settings, key):
+    """``settings[key]`` as a float; a bool, a non-number or a non-finite
+    value is a UsageError."""
+    value = settings[key]
     try:
-        return float(settings[key])
-    except (TypeError, ValueError):
-        raise UsageError(f"--{key.replace('_', '-')} must be a number") from None
+        if not isinstance(value, bool):
+            number = float(value)
+            if math.isfinite(number):
+                return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise UsageError(
+        f"--{key.replace('_', '-')} must be a finite number, got {value!r}")
 
 
 def _positive(settings, *keys):
@@ -154,9 +163,9 @@ def cmd_gen(args):
             noise_sigma=_as_float(settings, "noise"),
             seed=_as_int(settings, "seed"),
         )
+        train_samples, test_samples = generate_dataset(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    train_samples, test_samples = generate_dataset(spec)
     os.makedirs(args.out, exist_ok=True)
     save_dataset(os.path.join(args.out, TRAIN_FILE), train_samples)
     save_dataset(os.path.join(args.out, TEST_FILE), test_samples)

@@ -16,6 +16,7 @@ crashing or guessing. Writers replace their target in one step (see
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 
@@ -63,9 +64,12 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def f64_array(self, count: int) -> np.ndarray:
-        raw = self.take(8 * count)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    def f64_array(self, dims) -> np.ndarray:
+        raw = self.take(8 * math.prod(dims))
+        try:
+            return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
+        except ValueError as exc:  # more dims than numpy holds, or too big
+            raise CorruptContainerError(f"bad dims {dims}: {exc}") from None
 
     def done(self) -> None:
         if self.pos != len(self.data):
@@ -144,10 +148,7 @@ def read_weights(path) -> dict:
             raise CorruptContainerError(f"duplicate tensor name {name!r}")
         ndims = r.u8()
         dims = tuple(r.u32() for _ in range(ndims))
-        size = 1
-        for d in dims:
-            size *= d
-        tensors[name] = r.f64_array(size).reshape(dims)
+        tensors[name] = r.f64_array(dims)
     r.done()
     return tensors
 
@@ -183,7 +184,7 @@ def read_samples(path) -> list:
         label = r.u32()
         frames = r.u32()
         joints = r.u32()
-        coords = r.f64_array(frames * joints * 3).reshape(frames, joints, 3)
+        coords = r.f64_array((frames, joints, 3))
         out.append((label, coords))
     r.done()
     return out

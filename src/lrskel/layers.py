@@ -2,8 +2,11 @@
 
 Linear layers come in two flavours: a dense affine map, and its low-rank
 replacement holding the cascaded factor pair. Attention is the standard
-scaled dot-product form; a multi-head block keeps separate per-head Q/K/V
-projections so ranks can later be assigned per matrix type.
+scaled dot-product form. A multi-head block keeps separate per-head Q/K/V
+projections, so ranks can be assigned per matrix type, but runs its heads
+stacked: each call concatenates the projections' first factors into one
+matrix product, applies every low-rank second factor through one
+block-diagonal product, and makes one attention call over a head axis.
 
 Every op acts on the trailing ``T x d`` axes and takes any leading batch
 axes, so a ``T x d`` input is one sample and a ``B x T x d`` input is a
@@ -198,13 +201,20 @@ class LowRankLinear:
 def softmax_rows(a) -> np.ndarray:
     """Softmax over the last axis, stabilized by subtracting each row's
     maximum."""
-    shifted = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # In place after the first subtraction: a stacked batch's B x H x T x T
+    # scores pass glibc's mmap threshold, so each further temporary would
+    # be a fresh mapping whose pages fault in on every call.
+    e = a - a.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_adjoint(s, grad_s):
-    return s * (grad_s - np.sum(grad_s * s, axis=-1, keepdims=True))
+    out = grad_s * s
+    np.subtract(grad_s, out.sum(axis=-1, keepdims=True), out=out)
+    out *= s
+    return out
 
 
 def _softmax_backward(cache, grad_out):
@@ -224,7 +234,9 @@ def _attention(q, k, v):
     if k.shape[:-1] != v.shape[:-1]:
         raise ValueError(f"k rows {k.shape[:-1]} != v rows {v.shape[:-1]}")
     scale = 1.0 / math.sqrt(q.shape[-1])
-    s = softmax_rows((q @ k.swapaxes(-1, -2)) * scale)
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= scale
+    s = softmax_rows(scores)
     y = s @ v
     cache = {"q": q, "k": k, "v": v, "s": s, "scale": scale, "out_shape": y.shape}
     return y, GradTape(_attention_backward, cache)
@@ -260,9 +272,29 @@ class AttentionHead:
         return AttentionHead(self.wq.copy(), self.wk.copy(), self.wv.copy())
 
 
+def _split_heads(a, n_heads):
+    """``(..., T, n_heads * d)`` columns as ``(..., n_heads, T, d)`` heads."""
+    return a.reshape(a.shape[:-1] + (n_heads, -1)).swapaxes(-2, -3)
+
+
+def _merge_heads(a):
+    """Inverse of ``_split_heads``: ``(..., H, T, d)`` to ``(..., T, H * d)``."""
+    a = a.swapaxes(-2, -3)
+    return a.reshape(a.shape[:-2] + (-1,))
+
+
 class MhsaBlock:
     """Multi-head self-attention: per-head attention over projected inputs,
-    outputs concatenated and mixed by the output projection ``wo``."""
+    outputs concatenated and mixed by the output projection ``wo``.
+
+    The heads run stacked, with the 3H Q/K/V projections in group order
+    (every head's wq, then wk, then wv). One product with their first
+    factors (``weight`` or ``w1``) side by side projects every head; when
+    any is low rank, one block-diagonal matrix of the ``w2`` factors, with
+    an identity block per dense projection, follows. One attention call
+    runs on ``(..., H, T, d_k)`` arrays. Every call rebuilds these matrices
+    from the live per-head arrays, so ``params()`` and in-place edits of
+    ``heads`` stay authoritative."""
 
     def __init__(self, heads, wo):
         heads = list(heads)
@@ -311,45 +343,82 @@ class MhsaBlock:
         out.append(("wo", self.wo))
         return out
 
+    def _stacked(self):
+        """``(layout, first, second, bias)`` of the stacked projection. The
+        layout holds ``(layer, first-factor columns, output columns)`` per
+        projection in group order; ``second`` is None when every projection
+        is dense, and ``bias`` when none has one."""
+        projections = [getattr(h, attr) for attr in ("wq", "wk", "wv")
+                       for h in self.heads]
+        firsts = [p.weight if p.kind == "dense" else p.w1 for p in projections]
+        layout, a, o = [], 0, 0
+        for p, f in zip(projections, firsts):
+            layout.append((p, slice(a, a + f.shape[1]), slice(o, o + p.c_out)))
+            a, o = a + f.shape[1], o + p.c_out
+        second = None
+        if any(p.kind != "dense" for p in projections):
+            second = np.zeros((a, o))
+            for p, cols, outs in layout:
+                second[cols, outs] = np.eye(p.c_out) if p.kind == "dense" else p.w2
+        bias = None
+        if any(p.bias is not None for p in projections):
+            bias = np.concatenate([np.zeros(p.c_out) if p.bias is None else p.bias
+                                   for p in projections])
+        return layout, np.concatenate(firsts, axis=1), second, bias
+
     def forward(self, x) -> np.ndarray:
         return self.forward_tape(x)[0]
 
     def forward_tape(self, x):
-        head_tapes = []
-        outs = []
-        for h in self.heads:
-            q, tq = h.wq.forward_tape(x)
-            k, tk = h.wk.forward_tape(x)
-            v, tv = h.wv.forward_tape(x)
-            out, ta = attention_forward_tape(q, k, v)
-            head_tapes.append((tq, tk, tv, ta))
-            outs.append(out)
-        y, to = self.wo.forward_tape(np.concatenate(outs, axis=-1))
-        cache = {"head_tapes": head_tapes, "wo_tape": to, "out_shape": y.shape}
+        if x.shape[-1] != self.heads[0].wq.c_in:
+            raise ValueError(
+                f"input width {x.shape[-1]} != d_model {self.heads[0].wq.c_in}")
+        layout, first, second, bias = self._stacked()
+        qkv = x @ first
+        hidden = None
+        if second is not None:
+            hidden, qkv = qkv, qkv @ second
+        if bias is not None:
+            qkv += bias
+        n, d_k = self.n_heads, self.d_k
+        q, k, v = (_split_heads(a, n)
+                   for a in np.split(qkv, [n * d_k, 2 * n * d_k], axis=-1))
+        heads_out, ta = attention_forward_tape(q, k, v)
+        y, to = self.wo.forward_tape(_merge_heads(heads_out))
+        cache = {"x": x, "hidden": hidden, "layout": layout, "first": first,
+                 "second": second, "attention_tape": ta, "wo_tape": to,
+                 "out_shape": y.shape}
         return y, GradTape(self._backward, cache)
 
     def _backward(self, cache, grad_out):
-        grad_concat, wo_grads = backward(cache["wo_tape"], grad_out)
-        layer_grads = []
-        grad_x = None
-        d_v = self.d_v
-        for i, (tq, tk, tv, ta) in enumerate(cache["head_tapes"]):
-            slice_grad = grad_concat[..., i * d_v:(i + 1) * d_v]
-            (gq, gk, gv), _ = backward(ta, slice_grad)
-            gx_q, q_grads = backward(tq, gq)
-            gx_k, k_grads = backward(tk, gk)
-            gx_v, v_grads = backward(tv, gv)
-            layer_grads += [q_grads, k_grads, v_grads]
-            part = gx_q + gx_k + gx_v
-            grad_x = part if grad_x is None else grad_x + part
-        layer_grads.append(wo_grads)
-        grads = {
-            f"{name}.{n}": g
-            for (name, _), named in zip(self.named_projections(), layer_grads,
-                                         strict=True)
-            for n, g in named.items()
-        }
-        return grad_x, grads
+        grad_heads, wo_grads = backward(cache["wo_tape"], grad_out)
+        n, layout = self.n_heads, cache["layout"]
+        first, second = cache["first"], cache["second"]
+        grad_qkv, _ = backward(cache["attention_tape"], _split_heads(grad_heads, n))
+        grad_qkv = np.concatenate([_merge_heads(g) for g in grad_qkv], axis=-1)
+        qkv_rows = grad_qkv.reshape(-1, grad_qkv.shape[-1])
+        grad_hidden = grad_qkv
+        if second is not None:
+            grad_hidden = grad_qkv @ second.T
+            grad_second = cache["hidden"].reshape(-1, first.shape[1]).T @ qkv_rows
+        grad_first = (cache["x"].reshape(-1, first.shape[0]).T
+                      @ grad_hidden.reshape(-1, first.shape[1]))
+        grad_bias = qkv_rows.sum(axis=0)
+        # Split per projection, in params() order (head by head).
+        grads = {}
+        for i in range(n):
+            for g, attr in enumerate(("wq", "wk", "wv")):
+                p, cols, outs = layout[g * n + i]
+                name = f"heads.{i}.{attr}"
+                if p.kind == "dense":
+                    grads[name + ".weight"] = grad_first[:, cols]
+                else:
+                    grads[name + ".w1"] = grad_first[:, cols]
+                    grads[name + ".w2"] = grad_second[cols, outs]
+                if p.bias is not None:
+                    grads[name + ".bias"] = grad_bias[outs]
+        grads.update({f"wo.{k}": g for k, g in wo_grads.items()})
+        return grad_hidden @ first.T, grads
 
     def params(self) -> dict:
         return {

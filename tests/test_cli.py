@@ -63,7 +63,49 @@ def test_gen_zero_classes_is_usage_error(tmp_path, capsys):
 def test_gen_non_finite_noise_is_usage_error(tmp_path, capsys, noise):
     out = tmp_path / "d"
     assert main(["gen", "--out", str(out), "--noise", noise]) == 2
-    assert "noise_sigma must be finite" in capsys.readouterr().err
+    assert "--noise must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_overflowing_noise_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "d"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["gen", "--out", str(out), "--noise", "1e308", "--classes",
+                     "2", "--train-per-class", "1", "--test-per-class", "1"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+    assert "overflows" in err[0]
+    assert not caught
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, values", [
+    ("train", {"lr": True}), ("train", {"decay": True}), ("gen", {"noise": True}),
+    ("train", {"lr": 10 ** 400}),
+], ids=["lr", "decay", "noise", "int-overflowing-float"])
+def test_non_finite_float_setting_is_usage_error(tmp_path, capsys, command, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    args = [command, str(tmp_path / "data")] if command == "train" else [command]
+    assert main(args + ["--out", str(out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+    assert f"must be a finite number, got {list(values.values())[0]!r}" in err[0]
+    assert not out.exists()
+
+
+def test_train_infinite_lr_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["gen", "--out", str(data)] + SMALL_GEN) == 0
+    capsys.readouterr()
+    out = tmp_path / "m.lrts"
+    assert main(["train", str(data), "--out", str(out), "--lr", "inf"]
+                + SMALL_MODEL) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["usage error: --lr must be a finite number, got inf"]
     assert not out.exists()
 
 

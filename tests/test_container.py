@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrskel.container import (
     BadMagicError,
@@ -93,6 +95,18 @@ def test_weights_duplicate_names(tmp_path):
     path = tmp_path / "dup.lrts"
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptContainerError):
+        read_weights(path)
+
+
+@pytest.mark.parametrize("dims", [(0,) + (2 ** 32 - 1,) * 3, (1,) * 65],
+                         ids=["zero-size-too-big", "more-dims-than-numpy"])
+def test_weights_dims_numpy_cannot_hold(tmp_path, dims):
+    size = 0 if 0 in dims else 1
+    blob = (b"LRTS" + struct.pack("<IIH", 1, 1, 1) + b"t"
+            + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + bytes(8 * size))
+    path = tmp_path / "dims.lrts"
+    path.write_bytes(blob)
+    with pytest.raises(CorruptContainerError, match="bad dims"):
         read_weights(path)
 
 
@@ -192,3 +206,110 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, kind):
     writers[kind]()
     assert path.read_bytes() != b"previous contents"
     assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+
+# Fuzzing the readers: every truncation, byte flip or inflated header field
+# of a valid file must be read or rejected with ContainerError, never with
+# another exception (nor by allocating what a corrupt count asks for).
+FUZZ_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
+                         database=None)
+FUZZ_TENSORS = {
+    "blocks.0.heads.0.wq.weight": np.arange(12.0).reshape(3, 4),
+    "zeros": np.zeros((40, 8)),
+    "blocks.0.heads.0.wq.bias": np.array([0.5, -1.0, 2.0, 3.0]),
+    "empty": np.zeros((0, 3)),
+    "config": np.array(7.0),
+}
+FUZZ_SAMPLES = [SkeletonSample(coords=np.full((2, 3, 3), float(i)), label=i)
+                for i in range(3)]
+
+
+def _weights_fields():
+    """(offset, width) of every integer header field of the FUZZ_TENSORS
+    file: tensor count, then per tensor name length, ndims and dims."""
+    fields, pos = [(8, 4)], 12
+    for name, arr in FUZZ_TENSORS.items():
+        fields.append((pos, 2))
+        pos += 2 + len(name.encode())
+        fields.append((pos, 1))
+        pos += 1
+        fields += [(pos + 4 * i, 4) for i in range(arr.ndim)]
+        pos += 4 * arr.ndim + 8 * arr.size
+    return fields
+
+
+def _samples_fields():
+    """(offset, width) of the sample count and of every label, frames and
+    joints field of the FUZZ_SAMPLES file."""
+    fields, pos = [(8, 4)], 12
+    for sample in FUZZ_SAMPLES:
+        fields += [(pos, 4), (pos + 4, 4), (pos + 8, 4)]
+        pos += 12 + 8 * sample.coords.size
+    return fields
+
+
+FUZZ_KINDS = {
+    "weights": (lambda path: write_weights(path, FUZZ_TENSORS), read_weights,
+                _weights_fields()),
+    "samples": (lambda path: write_samples(path, FUZZ_SAMPLES), read_samples,
+                _samples_fields()),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    blobs = {}
+    for kind, (write, read, fields) in FUZZ_KINDS.items():
+        path = root / kind
+        write(path)
+        blobs[kind] = path.read_bytes()
+        assert read(path) is not None
+        assert fields[-1][0] + fields[-1][1] < len(blobs[kind])
+    return root, blobs
+
+
+def _read_or_container_error(root, kind, blob):
+    path = root / f"{kind}.fuzzed"
+    path.write_bytes(bytes(blob))
+    try:
+        FUZZ_KINDS[kind][1](path)
+    except ContainerError:
+        pass
+
+
+@FUZZ_SETTINGS
+@given(kind=st.sampled_from(sorted(FUZZ_KINDS)), cut=st.integers(0, 10**6))
+def test_fuzz_truncation_raises_container_error(valid_files, kind, cut):
+    root, blobs = valid_files
+    path = root / f"{kind}.cut"
+    path.write_bytes(blobs[kind][:cut % len(blobs[kind])])
+    with pytest.raises(ContainerError):
+        FUZZ_KINDS[kind][1](path)
+
+
+@FUZZ_SETTINGS
+@given(kind=st.sampled_from(sorted(FUZZ_KINDS)),
+       flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+                      min_size=1, max_size=4))
+def test_fuzz_byte_flips_read_or_raise_container_error(valid_files, kind, flips):
+    root, blobs = valid_files
+    blob = bytearray(blobs[kind])
+    for pos, mask in flips:
+        blob[pos % len(blob)] ^= mask
+    _read_or_container_error(root, kind, blob)
+
+
+@FUZZ_SETTINGS
+@given(kind=st.sampled_from(sorted(FUZZ_KINDS)), data=st.data())
+def test_fuzz_inflated_header_fields_read_or_raise_container_error(
+        valid_files, kind, data):
+    root, blobs = valid_files
+    fields = FUZZ_KINDS[kind][2]
+    blob = bytearray(blobs[kind])
+    for offset, width in data.draw(st.lists(st.sampled_from(fields),
+                                            min_size=1, max_size=3)):
+        value = data.draw(st.integers(0, 256 ** width - 1)
+                          | st.just(256 ** width - 1))
+        blob[offset:offset + width] = value.to_bytes(width, "little")
+    _read_or_container_error(root, kind, blob)

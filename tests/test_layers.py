@@ -353,3 +353,121 @@ def test_mhsa_gradients_with_lowrank_projection():
     block.heads[0].wv = LowRankLinear(f.w1, f.w2, dense.bias)
     for batch in BATCHES:
         _layer_grad_check(block, rng.normal(size=batch + (3, 4)), rng)
+
+
+def per_head_reference(block, x, grad_out):
+    """The per-head loop ``MhsaBlock`` ran before its heads were stacked:
+    three projections and one attention call per head, outputs concatenated
+    into ``wo``. Returns the forward output, the input gradient and the
+    named parameter gradients for ``grad_out``."""
+    head_tapes, outs = [], []
+    for h in block.heads:
+        q, tq = h.wq.forward_tape(x)
+        k, tk = h.wk.forward_tape(x)
+        v, tv = h.wv.forward_tape(x)
+        out, ta = attention_forward_tape(q, k, v)
+        head_tapes.append((tq, tk, tv, ta))
+        outs.append(out)
+    y, to = block.wo.forward_tape(np.concatenate(outs, axis=-1))
+    grad_concat, wo_grads = backward(to, grad_out)
+    layer_grads, grad_x, d_v = [], None, block.d_v
+    for i, (tq, tk, tv, ta) in enumerate(head_tapes):
+        (gq, gk, gv), _ = backward(ta, grad_concat[..., i * d_v:(i + 1) * d_v])
+        gx_q, q_grads = backward(tq, gq)
+        gx_k, k_grads = backward(tk, gk)
+        gx_v, v_grads = backward(tv, gv)
+        layer_grads += [q_grads, k_grads, v_grads]
+        part = gx_q + gx_k + gx_v
+        grad_x = part if grad_x is None else grad_x + part
+    layer_grads.append(wo_grads)
+    grads = {
+        f"{name}.{n}": g
+        for (name, _), named in zip(block.named_projections(), layer_grads,
+                                    strict=True)
+        for n, g in named.items()
+    }
+    return y, grad_x, grads
+
+
+def rand_lowrank(rng, c_in, c_out, rank, bias=True):
+    return LowRankLinear(rng.normal(size=(c_in, rank)),
+                         rng.normal(size=(rank, c_out)),
+                         rng.normal(size=c_out) if bias else None)
+
+
+def _projection(rng, spec, c_in, c_out):
+    """A projection from a spec: ``"d"`` dense, ``"d-"`` dense without a
+    bias, ``r`` (an int) low rank r, ``-r`` low rank r without a bias."""
+    if isinstance(spec, str):
+        return rand_dense(rng, c_in, c_out, bias=spec == "d")
+    return rand_lowrank(rng, c_in, c_out, abs(spec), bias=spec > 0)
+
+
+def spec_block(rng, specs, d_model=6, d_k=3, d_v=3, wo="d"):
+    """A block whose head i has projections ``specs[i] = (q, k, v)``."""
+    heads = [
+        AttentionHead(_projection(rng, q, d_model, d_k),
+                      _projection(rng, k, d_model, d_k),
+                      _projection(rng, v, d_model, d_v))
+        for q, k, v in specs
+    ]
+    return MhsaBlock(heads, _projection(rng, wo, len(specs) * d_v, d_model))
+
+
+def _assert_relative(got, want, scale=None):
+    assert got.shape == want.shape
+    scale = np.abs(want).max() if scale is None else scale
+    assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def assert_matches_per_head(block, x, rng, exact_forward=False):
+    y, tape = block.forward_tape(x)
+    probe = rng.normal(size=y.shape)
+    grad_x, grads = backward(tape, probe)
+    ref_y, ref_grad_x, ref_grads = per_head_reference(block, x, probe)
+    if exact_forward:
+        assert np.array_equal(y, ref_y)
+    else:
+        _assert_relative(y, ref_y)
+    _assert_relative(grad_x, ref_grad_x)
+    assert list(grads) == list(ref_grads) == list(block.params())
+    # A key bias has a zero gradient in exact arithmetic (softmax ignores a
+    # shift shared by a row), so its entries are rounding noise: each
+    # gradient is measured against the largest entry of its projection's.
+    for name in ref_grads:
+        layer = name.rsplit(".", 1)[0]
+        scale = max(np.abs(g).max() for key, g in ref_grads.items()
+                    if key.rsplit(".", 1)[0] == layer)
+        _assert_relative(grads[name], ref_grads[name], scale)
+
+
+STACK_CASES = {
+    "all_dense": dict(specs=[("d", "d", "d")] * 3),
+    "uniform_lowrank": dict(specs=[(1, 1, 1)] * 3),
+    "unequal_ranks": dict(specs=[(1, 2, 3), (3, 1, 2), (2, 3, 1)], wo=2),
+    "mixed_in_group": dict(specs=[("d", 2, "d"), (1, "d", 3), ("d", "d", 1)]),
+    "no_bias": dict(specs=[("d-", "d-", "d-")] * 2, wo="d-"),
+    "some_bias": dict(specs=[("d", -1, "d-"), (2, "d-", -3)]),
+    "d_v_differs": dict(specs=[("d", 1, 2), (2, "d", "d")], d_k=2, d_v=4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stacked_block_matches_per_head_loop(case):
+    rng = np.random.default_rng(26)
+    block = spec_block(rng, **STACK_CASES[case])
+    for batch in [(), (3,)]:
+        assert_matches_per_head(block, rng.normal(size=batch + (5, 6)), rng,
+                                exact_forward=case == "all_dense")
+
+
+def test_stacked_block_follows_in_place_projection_swap():
+    rng = np.random.default_rng(27)
+    block = spec_block(rng, [("d", "d", "d")] * 2)
+    x = rng.normal(size=(2, 5, 6))
+    before = block.forward(x)
+    block.heads[0].wv = rand_lowrank(rng, 6, 3, 2)
+    assert not np.array_equal(block.forward(x), before)
+    assert_matches_per_head(block, x, rng)
+    block.heads[1].wq.weight[:] = 0.0
+    assert_matches_per_head(block, x, rng)
