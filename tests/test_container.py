@@ -218,33 +218,35 @@ FUZZ_TENSORS = {
     "zeros": np.zeros((40, 8)),
     "blocks.0.heads.0.wq.bias": np.array([0.5, -1.0, 2.0, 3.0]),
     "empty": np.zeros((0, 3)),
-    "config": np.array(7.0),
+    "config": np.array([7.0, 8.0]),
 }
 FUZZ_SAMPLES = [SkeletonSample(coords=np.full((2, 3, 3), float(i)), label=i)
                 for i in range(3)]
 
 
 def _weights_fields():
-    """(offset, width) of every integer header field of the FUZZ_TENSORS
-    file: tensor count, then per tensor name length, ndims and dims."""
-    fields, pos = [(8, 4)], 12
+    """(offset, width, value) of every integer header field of the
+    FUZZ_TENSORS file: tensor count, then per tensor name length, ndims
+    and dims."""
+    fields, pos = [(8, 4, len(FUZZ_TENSORS))], 12
     for name, arr in FUZZ_TENSORS.items():
-        fields.append((pos, 2))
+        fields.append((pos, 2, len(name.encode())))
         pos += 2 + len(name.encode())
-        fields.append((pos, 1))
+        fields.append((pos, 1, arr.ndim))
         pos += 1
-        fields += [(pos + 4 * i, 4) for i in range(arr.ndim)]
+        fields += [(pos + 4 * i, 4, d) for i, d in enumerate(arr.shape)]
         pos += 4 * arr.ndim + 8 * arr.size
     return fields
 
 
 def _samples_fields():
-    """(offset, width) of the sample count and of every label, frames and
-    joints field of the FUZZ_SAMPLES file."""
-    fields, pos = [(8, 4)], 12
-    for sample in FUZZ_SAMPLES:
-        fields += [(pos, 4), (pos + 4, 4), (pos + 8, 4)]
-        pos += 12 + 8 * sample.coords.size
+    """(offset, width, value) of the sample count and of every label,
+    frames and joints field of the FUZZ_SAMPLES file."""
+    fields, pos = [(8, 4, len(FUZZ_SAMPLES))], 12
+    for s in FUZZ_SAMPLES:
+        fields += [(pos, 4, s.label), (pos + 4, 4, s.coords.shape[0]),
+                   (pos + 8, 4, s.coords.shape[1])]
+        pos += 12 + 8 * s.coords.size
     return fields
 
 
@@ -263,9 +265,10 @@ def valid_files(tmp_path_factory):
     for kind, (write, read, fields) in FUZZ_KINDS.items():
         path = root / kind
         write(path)
-        blobs[kind] = path.read_bytes()
-        assert read(path) is not None
-        assert fields[-1][0] + fields[-1][1] < len(blobs[kind])
+        blob = blobs[kind] = path.read_bytes()
+        read(path)
+        assert all(int.from_bytes(blob[o:o + w], "little") == v
+                   for o, w, v in fields)
     return root, blobs
 
 
@@ -307,8 +310,8 @@ def test_fuzz_inflated_header_fields_read_or_raise_container_error(
     root, blobs = valid_files
     fields = FUZZ_KINDS[kind][2]
     blob = bytearray(blobs[kind])
-    for offset, width in data.draw(st.lists(st.sampled_from(fields),
-                                            min_size=1, max_size=3)):
+    for offset, width, _ in data.draw(st.lists(st.sampled_from(fields),
+                                               min_size=1, max_size=3)):
         value = data.draw(st.integers(0, 256 ** width - 1)
                           | st.just(256 ** width - 1))
         blob[offset:offset + width] = value.to_bytes(width, "little")
