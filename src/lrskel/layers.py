@@ -1,28 +1,30 @@
 """Differentiable building blocks, one forward body per op.
 
-Linear layers come in two flavours: a dense affine map, and its low-rank
-replacement holding the cascaded factor pair. Attention is the standard
-scaled dot-product form. A multi-head block keeps separate per-head Q/K/V
-projections, so ranks can be assigned per matrix type, but runs its heads
-stacked: each call concatenates the projections' first factors into one
-matrix product, applies every low-rank second factor through one
-block-diagonal product, and makes one attention call over a head axis.
+A linear layer is a chain of factors, ``y = x @ f_0 @ ... @ f_last + bias``,
+run by one private body: a dense affine map is a chain of one factor
+(``weight``), its low-rank replacement the cascaded pair (``w1``, ``w2``).
+Attention is the standard scaled dot-product form. A multi-head block keeps
+separate per-head Q/K/V projections, so ranks can be assigned per matrix
+type, but runs its heads stacked: each call concatenates the projections'
+first factors and block-diagonalises their second ones into one chain, runs
+it through the same body, and makes one attention call over a head axis.
 
 Every op acts on the trailing ``T x d`` axes and takes any leading batch
 axes, so a ``T x d`` input is one sample and a ``B x T x d`` input is a
 mini-batch run through the same body; a weight or bias gradient sums over
 every leading row. Each op computes its output in one place, which also
-returns a single-use :class:`GradTape` holding the cached activations and
-the op's backward function; ``forward`` is that output with the tape
-dropped. Gradients are exact analytic adjoints. Inputs are validated where
-they enter (the constructors here, and the model's sample features), not on
-every internal matmul.
+returns a single-use :class:`GradTape` whose backward function closes over
+the activations it needs; ``forward`` is that output with the tape dropped.
+Gradients are exact analytic adjoints. Inputs are validated where they enter
+(the constructors here, and the model's sample features), not on every
+internal matmul.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -32,11 +34,12 @@ from .linalg import as_matrix
 
 @dataclass
 class GradTape:
-    """Cached activations plus the function ``fn(cache, grad_out)`` that
-    turns them into gradients; consumable exactly once."""
+    """The backward function ``fn(grad_out)`` of one op call, closed over
+    that call's activations, and the shape of its output; consumable
+    exactly once."""
 
     fn: Callable
-    cache: dict
+    out_shape: tuple
     used: bool = field(default=False)
 
 
@@ -50,12 +53,12 @@ def backward(tape: GradTape, grad_out):
     if tape.used:
         raise RuntimeError("gradient tape already consumed")
     tape.used = True
-    if grad_out.shape != tape.cache["out_shape"]:
+    if grad_out.shape != tape.out_shape:
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match forward output "
-            f"{tape.cache['out_shape']}"
+            f"{tape.out_shape}"
         )
-    return tape.fn(tape.cache, grad_out)
+    return tape.fn(grad_out)
 
 
 def _check_bias(bias, c_out):
@@ -69,26 +72,50 @@ def _check_bias(bias, c_out):
     return b
 
 
-class DenseLinear:
-    """Affine map ``y = x @ weight + bias`` with weight C_in x C_out."""
+def _chain(factors, bias, x):
+    """``x @ f_0 @ ... @ f_last (+ bias)`` and its backward function, which
+    maps ``grad_out`` to ``(grad_in, [grad of each factor], grad of the
+    bias or None)``."""
+    inputs = [x]
+    for f in factors[:-1]:
+        inputs.append(inputs[-1] @ f)
+    y = inputs[-1] @ factors[-1]
+    if bias is not None:
+        y += bias
 
-    kind = "dense"
+    def grad(grad_out):
+        grad_bias = None if bias is None else grad_out.reshape(-1, bias.size).sum(axis=0)
+        grads = []
+        for f, a in zip(reversed(factors), reversed(inputs)):
+            grads.append(a.reshape(-1, f.shape[0]).T @ grad_out.reshape(-1, f.shape[1]))
+            grad_out = grad_out @ f.T
+        return grad_out, grads[::-1], grad_bias
 
-    def __init__(self, weight, bias=None):
-        self.weight = as_matrix(weight, "weight")
-        self.bias = _check_bias(bias, self.weight.shape[1])
+    return y, grad
+
+
+class _Linear:
+    """Factor-chain body shared by both linear kinds. A subclass names its
+    factors in ``FACTORS``; the bias, when present, sits on the last
+    factor's output."""
+
+    FACTORS: tuple
+
+    def __init__(self, factors, bias):
+        self.factors = factors
+        self.bias = _check_bias(bias, self.c_out)
 
     @property
     def c_in(self) -> int:
-        return self.weight.shape[0]
+        return self.factors[0].shape[0]
 
     @property
     def c_out(self) -> int:
-        return self.weight.shape[1]
+        return self.factors[-1].shape[1]
 
-    def copy(self) -> "DenseLinear":
-        return DenseLinear(self.weight.copy(),
-                           None if self.bias is None else self.bias.copy())
+    def copy(self):
+        return type(self)(*(f.copy() for f in self.factors),
+                          None if self.bias is None else self.bias.copy())
 
     def forward(self, x) -> np.ndarray:
         return self.forward_tape(x)[0]
@@ -96,42 +123,51 @@ class DenseLinear:
     def forward_tape(self, x):
         if x.shape[-1] != self.c_in:
             raise ValueError(f"input width {x.shape[-1]} != C_in {self.c_in}")
-        y = x @ self.weight
-        if self.bias is not None:
-            y = y + self.bias
-        return y, GradTape(self._backward, {"x": x, "out_shape": y.shape})
+        y, grad = _chain(self.factors, self.bias, x)
+        return y, GradTape(partial(self._backward, grad), y.shape)
 
-    def _backward(self, cache, grad_out):
-        grad_in = grad_out @ self.weight.T
-        rows = grad_out.reshape(-1, self.c_out)
-        grads = {"weight": cache["x"].reshape(-1, self.c_in).T @ rows}
-        if self.bias is not None:
-            grads["bias"] = rows.sum(axis=0)
-        return grad_in, grads
+    def _backward(self, grad, grad_out):
+        grad_in, grads, grad_bias = grad(grad_out)
+        if grad_bias is not None:
+            grads.append(grad_bias)
+        return grad_in, dict(zip(self.params(), grads, strict=True))
 
     def params(self) -> dict:
-        out = {"weight": self.weight}
+        out = dict(zip(self.FACTORS, self.factors))
         if self.bias is not None:
             out["bias"] = self.bias
         return out
 
     def param_count(self) -> int:
-        return self.weight.size + (0 if self.bias is None else self.bias.size)
+        return sum(a.size for a in self.params().values())
 
     def flops(self, rows: int) -> int:
-        return 2 * rows * self.c_in * self.c_out
+        return 2 * rows * sum(f.size for f in self.factors)
 
 
-class LowRankLinear:
+class DenseLinear(_Linear):
+    """Affine map ``y = x @ weight + bias`` with weight C_in x C_out."""
+
+    kind = "dense"
+    FACTORS = ("weight",)
+
+    def __init__(self, weight, bias=None):
+        super().__init__((as_matrix(weight, "weight"),), bias)
+
+    @property
+    def weight(self) -> np.ndarray:
+        return self.factors[0]
+
+
+class LowRankLinear(_Linear):
     """Cascaded pair ``y = (x @ w1) @ w2 + bias``; w1 is C_in x k, w2 is
-    k x C_out. The weight parameter count is k*(C_in + C_out); the bias, when
-    present, sits on the second factor's output."""
+    k x C_out. The weight parameter count is k*(C_in + C_out)."""
 
     kind = "lowrank"
+    FACTORS = ("w1", "w2")
 
     def __init__(self, w1, w2, bias=None):
-        self.w1 = as_matrix(w1, "w1")
-        self.w2 = as_matrix(w2, "w2")
+        self.factors = (as_matrix(w1, "w1"), as_matrix(w2, "w2"))
         if self.w1.shape[1] != self.w2.shape[0]:
             raise ValueError(
                 f"factor ranks disagree: w1 is {self.w1.shape}, w2 is {self.w2.shape}"
@@ -140,62 +176,19 @@ class LowRankLinear:
             raise ValueError(
                 f"rank {self.k} exceeds min(C_in, C_out) = {min(self.c_in, self.c_out)}"
             )
-        self.bias = _check_bias(bias, self.c_out)
+        super().__init__(self.factors, bias)
+
+    @property
+    def w1(self) -> np.ndarray:
+        return self.factors[0]
+
+    @property
+    def w2(self) -> np.ndarray:
+        return self.factors[1]
 
     @property
     def k(self) -> int:
         return self.w1.shape[1]
-
-    @property
-    def c_in(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def c_out(self) -> int:
-        return self.w2.shape[1]
-
-    def copy(self) -> "LowRankLinear":
-        return LowRankLinear(self.w1.copy(), self.w2.copy(),
-                             None if self.bias is None else self.bias.copy())
-
-    def forward(self, x) -> np.ndarray:
-        return self.forward_tape(x)[0]
-
-    def forward_tape(self, x):
-        if x.shape[-1] != self.c_in:
-            raise ValueError(f"input width {x.shape[-1]} != C_in {self.c_in}")
-        hidden = x @ self.w1
-        y = hidden @ self.w2
-        if self.bias is not None:
-            y = y + self.bias
-        return y, GradTape(self._backward,
-                           {"x": x, "hidden": hidden, "out_shape": y.shape})
-
-    def _backward(self, cache, grad_out):
-        grad_hidden = grad_out @ self.w2.T
-        grad_in = grad_hidden @ self.w1.T
-        rows = grad_out.reshape(-1, self.c_out)
-        grads = {
-            "w1": cache["x"].reshape(-1, self.c_in).T
-            @ grad_hidden.reshape(-1, self.k),
-            "w2": cache["hidden"].reshape(-1, self.k).T @ rows,
-        }
-        if self.bias is not None:
-            grads["bias"] = rows.sum(axis=0)
-        return grad_in, grads
-
-    def params(self) -> dict:
-        out = {"w1": self.w1, "w2": self.w2}
-        if self.bias is not None:
-            out["bias"] = self.bias
-        return out
-
-    def param_count(self) -> int:
-        n = self.k * (self.c_in + self.c_out)
-        return n + (0 if self.bias is None else self.bias.size)
-
-    def flops(self, rows: int) -> int:
-        return 2 * rows * self.k * (self.c_in + self.c_out)
 
 
 def softmax_rows(a) -> np.ndarray:
@@ -217,13 +210,9 @@ def _softmax_adjoint(s, grad_s):
     return out
 
 
-def _softmax_backward(cache, grad_out):
-    return _softmax_adjoint(cache["s"], grad_out), {}
-
-
 def softmax_rows_tape(a):
     s = softmax_rows(a)
-    return s, GradTape(_softmax_backward, {"s": s, "out_shape": s.shape})
+    return s, GradTape(lambda grad_out: (_softmax_adjoint(s, grad_out), {}), s.shape)
 
 
 def _attention(q, k, v):
@@ -238,17 +227,15 @@ def _attention(q, k, v):
     scores *= scale
     s = softmax_rows(scores)
     y = s @ v
-    cache = {"q": q, "k": k, "v": v, "s": s, "scale": scale, "out_shape": y.shape}
-    return y, GradTape(_attention_backward, cache)
 
+    def grad(grad_out):
+        grad_v = s.swapaxes(-1, -2) @ grad_out
+        grad_z = _softmax_adjoint(s, grad_out @ v.swapaxes(-1, -2))
+        grad_q = (grad_z @ k) * scale
+        grad_k = (grad_z.swapaxes(-1, -2) @ q) * scale
+        return (grad_q, grad_k, grad_v), {}
 
-def _attention_backward(cache, grad_out):
-    q, k, v, s, scale = (cache[n] for n in ("q", "k", "v", "s", "scale"))
-    grad_v = s.swapaxes(-1, -2) @ grad_out
-    grad_z = _softmax_adjoint(s, grad_out @ v.swapaxes(-1, -2))
-    grad_q = (grad_z @ k) * scale
-    grad_k = (grad_z.swapaxes(-1, -2) @ q) * scale
-    return (grad_q, grad_k, grad_v), {}
+    return y, GradTape(grad, y.shape)
 
 
 def attention_forward(q, k, v) -> np.ndarray:
@@ -268,9 +255,6 @@ class AttentionHead:
     wk: object
     wv: object
 
-    def copy(self) -> "AttentionHead":
-        return AttentionHead(self.wq.copy(), self.wk.copy(), self.wv.copy())
-
 
 def _split_heads(a, n_heads):
     """``(..., T, n_heads * d)`` columns as ``(..., n_heads, T, d)`` heads."""
@@ -288,13 +272,14 @@ class MhsaBlock:
     outputs concatenated and mixed by the output projection ``wo``.
 
     The heads run stacked, with the 3H Q/K/V projections in group order
-    (every head's wq, then wk, then wv). One product with their first
-    factors (``weight`` or ``w1``) side by side projects every head; when
-    any is low rank, one block-diagonal matrix of the ``w2`` factors, with
-    an identity block per dense projection, follows. One attention call
-    runs on ``(..., H, T, d_k)`` arrays. Every call rebuilds these matrices
-    from the live per-head arrays, so ``params()`` and in-place edits of
-    ``heads`` stay authoritative."""
+    (every head's wq, then wk, then wv) as one factor chain through the
+    linear body: their first factors side by side and, when any projection
+    has a second factor, one block-diagonal matrix of those (an identity
+    block for a single-factor projection). One attention call runs on
+    ``(..., H, T, d_k)`` arrays. Every call rebuilds the chain from the live
+    per-head arrays, so ``params()`` and in-place edits of ``heads`` stay
+    authoritative; the backward splits the chain's gradients back per
+    projection, in ``params()`` order."""
 
     def __init__(self, heads, wo):
         heads = list(heads)
@@ -329,42 +314,43 @@ class MhsaBlock:
     def d_v(self) -> int:
         return self.heads[0].wv.c_out
 
-    def copy(self) -> "MhsaBlock":
-        return MhsaBlock([h.copy() for h in self.heads], self.wo.copy())
+    @staticmethod
+    @cache
+    def projection_names(n_heads) -> tuple:
+        """Names of a block's projections in canonical order: each head's
+        wq, wk, wv, then wo. Parameter and gradient keys are
+        ``<name>.<param>``."""
+        return tuple(f"heads.{i}.{attr}" for i in range(n_heads)
+                     for attr in ("wq", "wk", "wv")) + ("wo",)
 
     def named_projections(self):
-        """(name, layer) for every projection in canonical order: each
-        head's wq, wk, wv, then wo. Parameter and gradient keys are
-        ``<name>.<param>``."""
-        out = []
-        for i, h in enumerate(self.heads):
-            out += [(f"heads.{i}.wq", h.wq), (f"heads.{i}.wk", h.wk),
-                    (f"heads.{i}.wv", h.wv)]
-        out.append(("wo", self.wo))
-        return out
+        """(name, layer) for every projection, in ``projection_names`` order."""
+        layers = [p for h in self.heads for p in (h.wq, h.wk, h.wv)] + [self.wo]
+        return list(zip(self.projection_names(self.n_heads), layers, strict=True))
 
     def _stacked(self):
-        """``(layout, first, second, bias)`` of the stacked projection. The
+        """``(layout, factors, bias)`` of the stacked projection chain. The
         layout holds ``(layer, first-factor columns, output columns)`` per
-        projection in group order; ``second`` is None when every projection
-        is dense, and ``bias`` when none has one."""
+        projection in group order; ``bias`` is None when no projection has
+        one."""
         projections = [getattr(h, attr) for attr in ("wq", "wk", "wv")
                        for h in self.heads]
-        firsts = [p.weight if p.kind == "dense" else p.w1 for p in projections]
         layout, a, o = [], 0, 0
-        for p, f in zip(projections, firsts):
-            layout.append((p, slice(a, a + f.shape[1]), slice(o, o + p.c_out)))
-            a, o = a + f.shape[1], o + p.c_out
-        second = None
-        if any(p.kind != "dense" for p in projections):
+        for p in projections:
+            r = p.factors[0].shape[1]
+            layout.append((p, slice(a, a + r), slice(o, o + p.c_out)))
+            a, o = a + r, o + p.c_out
+        factors = (np.concatenate([p.factors[0] for p in projections], axis=1),)
+        if any(len(p.factors) > 1 for p in projections):
             second = np.zeros((a, o))
             for p, cols, outs in layout:
-                second[cols, outs] = np.eye(p.c_out) if p.kind == "dense" else p.w2
+                second[cols, outs] = p.factors[1] if len(p.factors) > 1 else np.eye(p.c_out)
+            factors += (second,)
         bias = None
         if any(p.bias is not None for p in projections):
             bias = np.concatenate([np.zeros(p.c_out) if p.bias is None else p.bias
                                    for p in projections])
-        return layout, np.concatenate(firsts, axis=1), second, bias
+        return layout, factors, bias
 
     def forward(self, x) -> np.ndarray:
         return self.forward_tape(x)[0]
@@ -373,52 +359,30 @@ class MhsaBlock:
         if x.shape[-1] != self.heads[0].wq.c_in:
             raise ValueError(
                 f"input width {x.shape[-1]} != d_model {self.heads[0].wq.c_in}")
-        layout, first, second, bias = self._stacked()
-        qkv = x @ first
-        hidden = None
-        if second is not None:
-            hidden, qkv = qkv, qkv @ second
-        if bias is not None:
-            qkv += bias
+        layout, factors, bias = self._stacked()
+        qkv, chain_grad = _chain(factors, bias, x)
         n, d_k = self.n_heads, self.d_k
         q, k, v = (_split_heads(a, n)
                    for a in np.split(qkv, [n * d_k, 2 * n * d_k], axis=-1))
         heads_out, ta = attention_forward_tape(q, k, v)
         y, to = self.wo.forward_tape(_merge_heads(heads_out))
-        cache = {"x": x, "hidden": hidden, "layout": layout, "first": first,
-                 "second": second, "attention_tape": ta, "wo_tape": to,
-                 "out_shape": y.shape}
-        return y, GradTape(self._backward, cache)
+        return y, GradTape(partial(self._backward, layout, chain_grad, ta, to), y.shape)
 
-    def _backward(self, cache, grad_out):
-        grad_heads, wo_grads = backward(cache["wo_tape"], grad_out)
-        n, layout = self.n_heads, cache["layout"]
-        first, second = cache["first"], cache["second"]
-        grad_qkv, _ = backward(cache["attention_tape"], _split_heads(grad_heads, n))
-        grad_qkv = np.concatenate([_merge_heads(g) for g in grad_qkv], axis=-1)
-        qkv_rows = grad_qkv.reshape(-1, grad_qkv.shape[-1])
-        grad_hidden = grad_qkv
-        if second is not None:
-            grad_hidden = grad_qkv @ second.T
-            grad_second = cache["hidden"].reshape(-1, first.shape[1]).T @ qkv_rows
-        grad_first = (cache["x"].reshape(-1, first.shape[0]).T
-                      @ grad_hidden.reshape(-1, first.shape[1]))
-        grad_bias = qkv_rows.sum(axis=0)
-        # Split per projection, in params() order (head by head).
-        grads = {}
-        for i in range(n):
-            for g, attr in enumerate(("wq", "wk", "wv")):
-                p, cols, outs = layout[g * n + i]
-                name = f"heads.{i}.{attr}"
-                if p.kind == "dense":
-                    grads[name + ".weight"] = grad_first[:, cols]
-                else:
-                    grads[name + ".w1"] = grad_first[:, cols]
-                    grads[name + ".w2"] = grad_second[cols, outs]
-                if p.bias is not None:
-                    grads[name + ".bias"] = grad_bias[outs]
-        grads.update({f"wo.{k}": g for k, g in wo_grads.items()})
-        return grad_hidden @ first.T, grads
+    def _backward(self, layout, chain_grad, attention_tape, wo_tape, grad_out):
+        grad_heads, wo_grads = backward(wo_tape, grad_out)
+        n = self.n_heads
+        grad_qkv, _ = backward(attention_tape, _split_heads(grad_heads, n))
+        grad_in, factor_grads, grad_bias = chain_grad(
+            np.concatenate([_merge_heads(g) for g in grad_qkv], axis=-1))
+        grads = []
+        for p, cols, outs in (layout[g * n + i] for i in range(n) for g in range(3)):
+            grads.append(factor_grads[0][:, cols])
+            if len(p.factors) > 1:
+                grads.append(factor_grads[1][cols, outs])
+            if p.bias is not None:
+                grads.append(grad_bias[outs])
+        grads += wo_grads.values()
+        return grad_in, dict(zip(self.params(), grads, strict=True))
 
     def params(self) -> dict:
         return {

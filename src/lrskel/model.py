@@ -9,6 +9,7 @@ point is the compression pass, not the architecture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,12 +89,7 @@ class SkeletonModel:
         self.config = config
 
     def copy(self) -> "SkeletonModel":
-        return SkeletonModel(
-            self.embed.copy(),
-            [b.copy() for b in self.blocks],
-            self.head.copy(),
-            self.config,
-        )
+        return map_layers(self, lambda name, layer, group: layer.copy())
 
 
 def build_model(cfg: ModelConfig) -> SkeletonModel:
@@ -123,17 +119,17 @@ def build_model(cfg: ModelConfig) -> SkeletonModel:
 def layer_specs(cfg: ModelConfig):
     """(name, group) of every linear layer, in canonical order.
 
-    The one place the dotted layer names of weights files and parameter keys
-    are spelled out; building, loading, listing and rebuilding a model all
-    walk this sequence.
+    The one table of the dotted layer names of weights files and parameter
+    keys (a block's part comes from ``MhsaBlock.projection_names``);
+    building, loading, listing and rebuilding a model all walk this
+    sequence.
     """
     yield "embed", GROUP_EMBED
+    names = MhsaBlock.projection_names(cfg.heads)
+    groups = [GROUP_Q, GROUP_K, GROUP_V] * cfg.heads + [GROUP_O]
     for b in range(cfg.blocks):
-        for h in range(cfg.heads):
-            yield f"blocks.{b}.heads.{h}.wq", GROUP_Q
-            yield f"blocks.{b}.heads.{h}.wk", GROUP_K
-            yield f"blocks.{b}.heads.{h}.wv", GROUP_V
-        yield f"blocks.{b}.wo", GROUP_O
+        for name, group in zip(names, groups, strict=True):
+            yield f"blocks.{b}.{name}", group
     yield "head", GROUP_HEAD
 
 
@@ -312,25 +308,28 @@ def count_flops(model: SkeletonModel, frames: int) -> int:
     return total
 
 
+# The config tensor's entries: the config fields but the seed, then the
+# seed's high and low 32-bit words.
+_CONFIG_ENTRIES = ("joints", "frames", "d_model", "heads", "blocks", "classes",
+                   "seed_hi", "seed_lo")
+
+
 def _config_tensor(cfg: ModelConfig) -> np.ndarray:
-    return np.array(
-        [
-            cfg.joints, cfg.frames, cfg.d_model, cfg.heads, cfg.blocks,
-            cfg.classes, cfg.seed >> 32, cfg.seed & 0xFFFFFFFF,
-        ],
-        dtype=np.float64,
-    )
+    fields = [getattr(cfg, name) for name in _CONFIG_ENTRIES[:6]]
+    return np.array(fields + [cfg.seed >> 32, cfg.seed & 0xFFFFFFFF],
+                    dtype=np.float64)
 
 
 def _config_from_tensor(arr) -> ModelConfig:
     arr = np.asarray(arr)
     if arr.shape != (8,):
         raise ValueError(f"config tensor must have 8 entries, got {arr.shape}")
-    vals = [int(v) for v in arr]
-    return ModelConfig(
-        joints=vals[0], frames=vals[1], d_model=vals[2], heads=vals[3],
-        blocks=vals[4], classes=vals[5], seed=(vals[6] << 32) | vals[7],
-    )
+    vals = arr.tolist()
+    for name, v in zip(_CONFIG_ENTRIES, vals):
+        if not (math.isfinite(v) and v >= 0 and v == int(v)):
+            raise ValueError(f"config entry {name} must be a non-negative integer, got {v}")
+    *fields, hi, lo = map(int, vals)
+    return ModelConfig(*fields, seed=(hi << 32) | lo)
 
 
 def model_to_tensors(model: SkeletonModel) -> dict:
@@ -344,23 +343,17 @@ def model_from_tensors(tensors: dict) -> SkeletonModel:
     consumed = {"config"}
 
     def rebuild(name):
-        if f"{name}.weight" in tensors:
-            keys = [f"{name}.weight"]
-            weight = tensors[keys[0]]
-            bias = tensors.get(f"{name}.bias")
-            layer = DenseLinear(weight, bias)
-        elif f"{name}.w1" in tensors:
-            keys = [f"{name}.w1", f"{name}.w2"]
-            if keys[1] not in tensors:
-                raise ValueError(f"layer {name} has w1 but no w2")
-            bias = tensors.get(f"{name}.bias")
-            layer = LowRankLinear(tensors[keys[0]], tensors[keys[1]], bias)
-        else:
+        # The first linear class whose first factor is present.
+        cls = next((c for c in (DenseLinear, LowRankLinear)
+                    if f"{name}.{c.FACTORS[0]}" in tensors), None)
+        if cls is None:
             raise ValueError(f"no tensors found for layer {name}")
+        missing = [f for f in cls.FACTORS if f"{name}.{f}" not in tensors]
+        if missing:
+            raise ValueError(f"layer {name} has {cls.FACTORS[0]} but no {missing[0]}")
+        keys = [f"{name}.{p}" for p in cls.FACTORS + ("bias",)]
         consumed.update(keys)
-        if bias is not None:
-            consumed.add(f"{name}.bias")
-        return layer
+        return cls(*(tensors.get(key) for key in keys))
 
     layers = [rebuild(name) for name, _ in layer_specs(cfg)]
     extra = set(tensors) - consumed

@@ -1,4 +1,5 @@
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ from helpers import counting_svd
 from lrskel.cli import main
 from lrskel.data import load_dataset
 from lrskel.finetune import evaluate
-from lrskel.model import build_model, count_params, load_model, ModelConfig
+from lrskel.container import write_weights
+from lrskel.model import build_model, count_params, load_model, model_to_tensors, ModelConfig
 
 SMALL_GEN = ["--classes", "3", "--train-per-class", "6", "--test-per-class", "4",
              "--frames", "8", "--joints", "2", "--noise", "0.05", "--seed", "9"]
@@ -366,6 +368,25 @@ def test_info_wrong_magic(tmp_path, capsys):
     bad.write_bytes(b"ELF7" + bytes(40))
     assert main(["info", str(bad)]) == 1
     assert "corrupt container" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("inf"), 2.5])
+def test_info_rejects_bad_config_entry(tmp_path, capsys, value):
+    tensors = model_to_tensors(build_model(ModelConfig(
+        joints=2, frames=3, d_model=4, heads=2, blocks=1, classes=3, seed=0)))
+    # The writer refuses non-finite tensors, so a marker entry is patched
+    # to ``value`` in the written bytes.
+    marker = 0.123456789
+    tensors["config"][1] = marker
+    path = tmp_path / "bad.lrts"
+    write_weights(path, tensors)
+    data = path.read_bytes()
+    assert data.count(struct.pack("<d", marker)) == 1
+    path.write_bytes(data.replace(struct.pack("<d", marker), struct.pack("<d", value)))
+    assert main(["info", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"config entry frames must be a non-negative integer, got {value}" in err
 
 
 def test_unknown_command_is_usage_error():

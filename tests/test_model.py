@@ -1,13 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from helpers import assert_grads_close, finite_difference
 
 from lrskel.compress import compress_model, parse_plan
 from lrskel.data import DatasetSpec, generate_dataset
-from lrskel.layers import LowRankLinear
+from lrskel.layers import DenseLinear, LowRankLinear
 from lrskel.linalg import svd, truncate_to_factors
 from lrskel.model import (
     ModelConfig,
+    _config_tensor,
     backward_features,
     build_model,
     count_flops,
@@ -17,6 +20,7 @@ from lrskel.model import (
     forward_features,
     forward_features_tape,
     load_model,
+    map_layers,
     model_from_tensors,
     model_to_tensors,
     named_layers,
@@ -96,7 +100,6 @@ def test_param_count_216_cases():
 
 
 def test_flop_count_216_cases():
-    from lrskel.layers import DenseLinear
     dense = DenseLinear(np.zeros((216, 216)))
     assert dense.flops(1) == 93312
     low = LowRankLinear(np.zeros((216, 3)), np.zeros((3, 216)))
@@ -320,3 +323,79 @@ def test_seed_survives_round_trip(tmp_path):
     path = tmp_path / "m.lrts"
     save_model(path, build_model(cfg))
     assert load_model(path).config.seed == big_seed
+
+
+# The loader-diagnostic cases run on TINY with one low-rank projection (LV)
+# beside dense ones (LQ).
+LV = "blocks.0.heads.0.wv"
+LQ = "blocks.0.heads.0.wq"
+
+
+def _drop(tensors, *names):
+    for name in names:
+        del tensors[name]
+
+
+LOADER_CASES = {
+    "w1_without_w2": (lambda t: _drop(t, f"{LV}.w2"),
+                      f"layer {LV} has w1 but no w2"),
+    "w2_without_w1": (lambda t: _drop(t, f"{LV}.w1"),
+                      f"no tensors found for layer {LV}"),
+    "weight_and_w1": (lambda t: t.update({f"{LV}.weight": np.ones((4, 2))}),
+                      f"unexpected tensors in weights file: ['{LV}.w1', '{LV}.w2']"),
+    "extra_tensor": (lambda t: t.update(unrelated=np.zeros(3)),
+                     "unexpected tensors in weights file: ['unrelated']"),
+    "missing_layer": (lambda t: _drop(t, "head.weight", "head.bias"),
+                      "no tensors found for layer head"),
+    "no_config": (lambda t: _drop(t, "config"),
+                  "weights file has no config tensor"),
+    "short_config": (lambda t: t.update(config=t["config"][:7]),
+                     "config tensor must have 8 entries, got (7,)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_CASES))
+def test_loader_diagnostics(case):
+    edit, message = LOADER_CASES[case]
+    tensors = model_to_tensors(compress_model(build_model(TINY), parse_plan("v=1"))[0])
+    edit(tensors)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_tensors(tensors)
+
+
+@pytest.mark.parametrize("index, value, entry", [
+    (1, np.inf, "frames"), (1, 2.5, "frames"), (0, -1.0, "joints"),
+    (7, np.nan, "seed_lo"), (6, 0.5, "seed_hi"),
+])
+def test_config_entries_must_be_non_negative_integers(index, value, entry):
+    tensors = model_to_tensors(build_model(TINY))
+    tensors["config"][index] = value
+    with pytest.raises(ValueError, match=rf"config entry {entry} .*{value}"):
+        model_from_tensors(tensors)
+
+
+def test_config_tensor_round_trips_every_entry():
+    cfg = ModelConfig(joints=3, frames=5, d_model=6, heads=3, blocks=2,
+                      classes=4, seed=(7 << 32) | 11)
+    assert model_from_tensors(model_to_tensors(build_model(cfg))).config == cfg
+    assert _config_tensor(cfg).tolist() == [3, 5, 6, 3, 2, 4, 7, 11]
+
+
+def test_copy_shares_no_array_and_keeps_layout():
+    # Dense, low-rank and bias-less layers side by side.
+    low = compress_model(build_model(TINY), parse_plan("v=1,o=1"))[0]
+    src = map_layers(low, lambda name, layer, group: DenseLinear(
+        layer.weight.copy()) if group == "Q" else layer)
+    assert src.blocks[0].heads[0].wq.bias is None
+    dup = src.copy()
+    src_params, dup_params = named_params(src), named_params(dup)
+    assert list(dup_params) == list(src_params)
+    for a in src_params.values():
+        for b in dup_params.values():
+            assert not np.shares_memory(a, b)
+    assert ([layer.kind for _, layer, _ in named_layers(dup)]
+            == [layer.kind for _, layer, _ in named_layers(src)])
+    before = {name: arr.tobytes() for name, arr in src_params.items()}
+    for arr in dup_params.values():
+        arr += 1.0
+    assert {name: arr.tobytes() for name, arr in src_params.items()} == before
