@@ -284,14 +284,10 @@ def cmd_info(args):
           f"d_model={cfg.d_model} heads={cfg.heads} blocks={cfg.blocks} "
           f"classes={cfg.classes} seed={cfg.seed}")
     for name, layer, group in named_layers(model):
-        if layer.kind == "dense":
-            shape = f"{layer.c_in}x{layer.c_out}"
-            rank = "full"
-        else:
-            shape = f"{layer.c_in}x{layer.k}x{layer.c_out}"
-            rank = str(layer.k)
-        print(f"{name} [{group}] {layer.kind} {shape} rank={rank} "
-              f"params={layer.param_count()}")
+        dims = [f.shape[0] for f in layer.factors] + [layer.c_out]
+        rank = layer.factors[1].shape[0] if len(layer.factors) > 1 else "full"
+        print(f"{name} [{group}] {layer.kind} {'x'.join(map(str, dims))} "
+              f"rank={rank} params={layer.param_count()}")
     print(f"total params: {count_params(model)}")
     print(f"total flops (T={cfg.frames}): {count_flops(model, cfg.frames)}")
     return 0

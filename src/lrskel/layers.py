@@ -15,9 +15,11 @@ mini-batch run through the same body; a weight or bias gradient sums over
 every leading row. Each op computes its output in one place, which also
 returns a single-use :class:`GradTape` whose backward function closes over
 the activations it needs; ``forward`` is that output with the tape dropped.
-Gradients are exact analytic adjoints. Inputs are validated where they enter
-(the constructors here, and the model's sample features), not on every
-internal matmul.
+A backward function lists its parameter gradients in ``params()`` order;
+:func:`backward`, for every op up to the whole model, checks ``grad_out``
+and names that list. Gradients are exact analytic adjoints. Inputs are
+validated where they enter (the constructors here, and the model's sample
+features), not on every internal matmul.
 """
 
 from __future__ import annotations
@@ -34,21 +36,23 @@ from .linalg import as_matrix
 
 @dataclass
 class GradTape:
-    """The backward function ``fn(grad_out)`` of one op call, closed over
-    that call's activations, and the shape of its output; consumable
-    exactly once."""
+    """One op call's backward function ``fn(grad_out) -> (grad_in, [grads
+    in params() order])``, closed over that call's activations, the shape of
+    its output and the owner's ``params`` method (``dict`` for an op with
+    no parameters); consumable exactly once."""
 
     fn: Callable
     out_shape: tuple
+    params: Callable = dict
     used: bool = field(default=False)
 
 
 def backward(tape: GradTape, grad_out):
     """Run the backward pass recorded on ``tape``.
 
-    Returns ``(grad_in, grad_params)`` where ``grad_params`` maps parameter
-    names to arrays (empty for parameter-free ops). ``grad_in`` is a tuple
-    for multi-input ops such as attention.
+    Returns ``(grad_in, grad_params)`` where ``grad_params`` maps the names
+    of ``tape.params()`` to gradients (empty for parameter-free ops).
+    ``grad_in`` is a tuple for multi-input ops such as attention.
     """
     if tape.used:
         raise RuntimeError("gradient tape already consumed")
@@ -58,15 +62,16 @@ def backward(tape: GradTape, grad_out):
             f"grad_out shape {grad_out.shape} does not match forward output "
             f"{tape.out_shape}"
         )
-    return tape.fn(grad_out)
+    grad_in, grads = tape.fn(grad_out)
+    return grad_in, dict(zip(tape.params(), grads, strict=True))
 
 
 def _check_bias(bias, c_out):
     if bias is None:
         return None
-    b = np.asarray(bias, dtype=np.float64).reshape(-1)
-    if b.shape[0] != c_out:
-        raise ValueError(f"bias length {b.shape[0]} != output width {c_out}")
+    b = np.asarray(bias, dtype=np.float64)
+    if b.shape != (c_out,):
+        raise ValueError(f"bias shape {b.shape} != output width ({c_out},)")
     if not np.isfinite(b).all():
         raise ValueError("bias contains non-finite entries")
     return b
@@ -74,8 +79,8 @@ def _check_bias(bias, c_out):
 
 def _chain(factors, bias, x):
     """``x @ f_0 @ ... @ f_last (+ bias)`` and its backward function, which
-    maps ``grad_out`` to ``(grad_in, [grad of each factor], grad of the
-    bias or None)``."""
+    maps ``grad_out`` to ``(grad_in, [grad of each factor, then of the
+    bias when there is one])``."""
     inputs = [x]
     for f in factors[:-1]:
         inputs.append(inputs[-1] @ f)
@@ -84,12 +89,12 @@ def _chain(factors, bias, x):
         y += bias
 
     def grad(grad_out):
-        grad_bias = None if bias is None else grad_out.reshape(-1, bias.size).sum(axis=0)
+        grad_bias = [] if bias is None else [grad_out.reshape(-1, bias.size).sum(axis=0)]
         grads = []
         for f, a in zip(reversed(factors), reversed(inputs)):
             grads.append(a.reshape(-1, f.shape[0]).T @ grad_out.reshape(-1, f.shape[1]))
             grad_out = grad_out @ f.T
-        return grad_out, grads[::-1], grad_bias
+        return grad_out, grads[::-1] + grad_bias
 
     return y, grad
 
@@ -124,13 +129,7 @@ class _Linear:
         if x.shape[-1] != self.c_in:
             raise ValueError(f"input width {x.shape[-1]} != C_in {self.c_in}")
         y, grad = _chain(self.factors, self.bias, x)
-        return y, GradTape(partial(self._backward, grad), y.shape)
-
-    def _backward(self, grad, grad_out):
-        grad_in, grads, grad_bias = grad(grad_out)
-        if grad_bias is not None:
-            grads.append(grad_bias)
-        return grad_in, dict(zip(self.params(), grads, strict=True))
+        return y, GradTape(grad, y.shape, self.params)
 
     def params(self) -> dict:
         out = dict(zip(self.FACTORS, self.factors))
@@ -212,7 +211,7 @@ def _softmax_adjoint(s, grad_s):
 
 def softmax_rows_tape(a):
     s = softmax_rows(a)
-    return s, GradTape(lambda grad_out: (_softmax_adjoint(s, grad_out), {}), s.shape)
+    return s, GradTape(lambda grad_out: (_softmax_adjoint(s, grad_out), []), s.shape)
 
 
 def _attention(q, k, v):
@@ -233,7 +232,7 @@ def _attention(q, k, v):
         grad_z = _softmax_adjoint(s, grad_out @ v.swapaxes(-1, -2))
         grad_q = (grad_z @ k) * scale
         grad_k = (grad_z.swapaxes(-1, -2) @ q) * scale
-        return (grad_q, grad_k, grad_v), {}
+        return (grad_q, grad_k, grad_v), []
 
     return y, GradTape(grad, y.shape)
 
@@ -366,23 +365,26 @@ class MhsaBlock:
                    for a in np.split(qkv, [n * d_k, 2 * n * d_k], axis=-1))
         heads_out, ta = attention_forward_tape(q, k, v)
         y, to = self.wo.forward_tape(_merge_heads(heads_out))
-        return y, GradTape(partial(self._backward, layout, chain_grad, ta, to), y.shape)
+        return y, GradTape(partial(self._backward, layout, chain_grad, ta, to),
+                           y.shape, self.params)
 
     def _backward(self, layout, chain_grad, attention_tape, wo_tape, grad_out):
         grad_heads, wo_grads = backward(wo_tape, grad_out)
         n = self.n_heads
         grad_qkv, _ = backward(attention_tape, _split_heads(grad_heads, n))
-        grad_in, factor_grads, grad_bias = chain_grad(
+        # The chain's gradients: first factor, then the second factor and the
+        # bias when any projection has one.
+        grad_in, (first, *rest) = chain_grad(
             np.concatenate([_merge_heads(g) for g in grad_qkv], axis=-1))
         grads = []
         for p, cols, outs in (layout[g * n + i] for i in range(n) for g in range(3)):
-            grads.append(factor_grads[0][:, cols])
+            grads.append(first[:, cols])
             if len(p.factors) > 1:
-                grads.append(factor_grads[1][cols, outs])
+                grads.append(rest[0][cols, outs])
             if p.bias is not None:
-                grads.append(grad_bias[outs])
+                grads.append(rest[-1][outs])
         grads += wo_grads.values()
-        return grad_in, dict(zip(self.params(), grads, strict=True))
+        return grad_in, grads
 
     def params(self) -> dict:
         return {

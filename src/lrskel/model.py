@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import container
-from .layers import (
-    AttentionHead,
-    DenseLinear,
-    LowRankLinear,
-    MhsaBlock,
-    backward,
-)
+from .layers import (AttentionHead, DenseLinear, GradTape, LowRankLinear,
+                     MhsaBlock, backward)
 from .linalg import as_matrix
 
 # Layer group tags used by compression plans.
@@ -125,9 +121,9 @@ def layer_specs(cfg: ModelConfig):
     sequence.
     """
     yield "embed", GROUP_EMBED
-    names = MhsaBlock.projection_names(cfg.heads)
-    groups = [GROUP_Q, GROUP_K, GROUP_V] * cfg.heads + [GROUP_O]
     for b in range(cfg.blocks):
+        names = MhsaBlock.projection_names(cfg.heads)
+        groups = [GROUP_Q, GROUP_K, GROUP_V] * cfg.heads + [GROUP_O]
         for name, group in zip(names, groups, strict=True):
             yield f"blocks.{b}.{name}", group
     yield "head", GROUP_HEAD
@@ -188,9 +184,9 @@ def _coords_of(sample):
 def _features(model: SkeletonModel, x):
     """Body of both feature entry points: logits for one sample already
     flattened to T x 3J (1 x classes) or for a B x T x 3J stack of them
-    (B x classes), plus the tapes ``backward_features`` consumes. Neither
-    entry point calls the other, so a traced call to either records one
-    span."""
+    (B x classes), and the model's tape: its ``grad_in`` is the gradient of
+    ``x``, its names are ``named_params``. Neither entry point calls the
+    other, so a traced call to either records one span."""
     frames = x.shape[-2]
     x, embed_tape = model.embed.forward_tape(x)
     block_tapes = []
@@ -203,13 +199,24 @@ def _features(model: SkeletonModel, x):
     # would switch BLAS kernels and change the logits in the last bit.
     pooled = x.mean(axis=-2, keepdims=True)
     logits, head_tape = model.head.forward_tape(pooled)
-    return logits.reshape(-1, model.config.classes), {
-        "embed": embed_tape,
-        "blocks": block_tapes,
-        "head": head_tape,
-        "pooled_shape": pooled.shape,
-        "frames": frames,
-    }
+
+    def grad(grad_logits):
+        grad_pooled, head_grads = backward(
+            head_tape, grad_logits.reshape(head_tape.out_shape))
+        grad_x = np.repeat(grad_pooled / frames, frames, axis=-2)
+        parts = [head_grads]
+        for tape in reversed(block_tapes):
+            grad_block, block_grads = backward(tape, grad_x)
+            parts.append(block_grads)
+            grad_x = grad_x + grad_block
+        grad_x, embed_grads = backward(embed_tape, grad_x)
+        parts.append(embed_grads)
+        # Every layer and block lists its gradients in its params() order,
+        # so the parts, read from the embedding up, line up with named_params.
+        return grad_x, [g for part in reversed(parts) for g in part.values()]
+
+    logits = logits.reshape(-1, model.config.classes)
+    return logits, GradTape(grad, logits.shape, partial(named_params, model))
 
 
 def forward_features(model: SkeletonModel, x) -> np.ndarray:
@@ -247,22 +254,10 @@ def _score_features(model: SkeletonModel, feats) -> np.ndarray:
 
 
 def backward_features(model: SkeletonModel, tape, grad_logits) -> dict:
-    """Parameter gradients for the sample or batch ``tape`` recorded, summed
-    over a batch; ``grad_logits`` has the logits' shape and the keys match
-    ``named_params``."""
-    grad_pooled, head_grads = backward(
-        tape["head"], grad_logits.reshape(tape["pooled_shape"][:-1] + (-1,)))
-    grad_x = np.repeat(grad_pooled / tape["frames"], tape["frames"], axis=-2)
-    parts = [head_grads]
-    for block_tape in reversed(tape["blocks"]):
-        grad_block, block_grads = backward(block_tape, grad_x)
-        parts.append(block_grads)
-        grad_x = grad_x + grad_block
-    parts.append(backward(tape["embed"], grad_x)[1])
-    # Every layer and block lists its gradients in its params() order, so
-    # the parts, read from the embedding up, line up with named_params.
-    grads = [g for part in reversed(parts) for g in part.values()]
-    return dict(zip(named_params(model), grads, strict=True))
+    """``backward(tape, grad_logits)[1]`` for the model's ``tape``: parameter
+    gradients keyed as ``named_params``, summed over a batch. A
+    ``grad_logits`` that is not of the logits' shape is a ValueError."""
+    return backward(tape, grad_logits)[1]
 
 
 def cross_entropy(logits, labels):
@@ -290,21 +285,14 @@ def count_params(model: SkeletonModel) -> int:
 
 def count_flops(model: SkeletonModel, frames: int) -> int:
     """Forward FLOPs for one sample of ``frames`` rows, two per
-    multiply-accumulate. Counts the linear layers, the two attention matrix
-    products per head (2*T^2*d_k and 2*T^2*d_v) and softmax at five ops per
-    element of the T x T weight matrix; pooling and residual adds are not
-    counted."""
-    total = model.embed.flops(frames)
+    multiply-accumulate. Counts the linear layers (the head on its one
+    pooled row), the two attention matrix products per head (2*T^2*d_k and
+    2*T^2*d_v) and softmax at five ops per element of the T x T weight
+    matrix; pooling and residual adds are not counted."""
+    total = sum(layer.flops(1 if group == GROUP_HEAD else frames)
+                for _, layer, group in named_layers(model))
     for block in model.blocks:
-        for head in block.heads:
-            total += head.wq.flops(frames)
-            total += head.wk.flops(frames)
-            total += head.wv.flops(frames)
-            total += 2 * frames * frames * head.wq.c_out
-            total += 2 * frames * frames * head.wv.c_out
-            total += 5 * frames * frames
-        total += block.wo.flops(frames)
-    total += model.head.flops(1)
+        total += block.n_heads * frames * frames * (2 * block.d_k + 2 * block.d_v + 5)
     return total
 
 
@@ -328,6 +316,8 @@ def _config_from_tensor(arr) -> ModelConfig:
     for name, v in zip(_CONFIG_ENTRIES, vals):
         if not (math.isfinite(v) and v >= 0 and v == int(v)):
             raise ValueError(f"config entry {name} must be a non-negative integer, got {v}")
+        if name.startswith("seed") and v >= 2 ** 32:
+            raise ValueError(f"config entry {name} must be below 2**32, got {v}")
     *fields, hi, lo = map(int, vals)
     return ModelConfig(*fields, seed=(hi << 32) | lo)
 
@@ -340,6 +330,10 @@ def model_from_tensors(tensors: dict) -> SkeletonModel:
     if "config" not in tensors:
         raise ValueError("weights file has no config tensor")
     cfg = _config_from_tensor(tensors["config"])
+    # A head holds 3+ tensors: bound the walk over names by the file's size.
+    if cfg.blocks * cfg.heads >= len(tensors):
+        raise ValueError(f"config asks for {cfg.blocks} blocks of {cfg.heads} "
+                         f"heads, more than the file's {len(tensors)} tensors hold")
     consumed = {"config"}
 
     def rebuild(name):

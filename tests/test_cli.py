@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import counting_svd
 from lrskel.cli import main
+from lrskel.compress import compress_model, parse_plan
 from lrskel.data import load_dataset
 from lrskel.finetune import evaluate
 from lrskel.container import write_weights
@@ -387,6 +392,100 @@ def test_info_rejects_bad_config_entry(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "Traceback" not in err
     assert f"config entry frames must be a non-negative integer, got {value}" in err
+
+
+TINY_CFG = ModelConfig(joints=2, frames=3, d_model=4, heads=2, blocks=1,
+                       classes=3, seed=0)
+# TINY_CFG with one low-rank projection, so factor pairs are fuzzed too.
+LOWRANK = "blocks.0.heads.0.wv"
+FUZZ_BASE = model_to_tensors(compress_model(build_model(TINY_CFG), parse_plan("v=1"))[0])
+
+
+def _run_quietly(argv):
+    """``main(argv)`` with stdout dropped; returns (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_one_error_line(code, err):
+    assert code == 1, err
+    assert err.count("error:") == 1 and err.startswith("error:"), err
+    assert "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t["config"].__setitem__(7, 2.0 ** 32 + 5),
+     "config entry seed_lo must be below 2**32, got 4294967301.0"),
+    (lambda t: t.update({"embed.bias": t["embed.bias"].reshape(2, 2)}),
+     "bias shape (2, 2) != output width (4,)"),
+])
+def test_info_rejects_file_that_would_not_round_trip(tmp_path, edit, message):
+    tensors = {name: arr.copy() for name, arr in FUZZ_BASE.items()}
+    edit(tensors)
+    path = tmp_path / "bad.lrts"
+    write_weights(path, tensors)
+    code, err = _run_quietly(["info", str(path)])
+    _assert_one_error_line(code, err)
+    assert message in err
+
+
+# Weights files that parse but cannot hold a model: one tensor of another
+# shape (a bias of the right size but not 1-D among them), a factor pair of
+# a rank above min(C_in, C_out), or a config entry that disagrees with the
+# tensors or is out of range. ``info`` and ``compress`` must exit 1 with one
+# ``error:`` line, and ``compress`` must write nothing.
+CLI_FUZZ_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None,
+                             database=None)
+
+
+@st.composite
+def reshaped_tensor(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_BASE)))
+    old = FUZZ_BASE[name].shape
+    shape = draw(st.sampled_from([(old[0], 1, 1), old[::-1], (1,) + old, ()])
+                 | st.lists(st.integers(0, 5), max_size=3).map(tuple))
+    if name.endswith(".bias"):
+        shape = draw(st.sampled_from([(2, 2), (1, old[0]), (old[0], 1), shape]))
+    if shape == old:
+        shape = old + (1,)
+    return {name: np.ones(shape)}
+
+
+@st.composite
+def oversized_rank(draw):
+    rank = draw(st.integers(3, 6))
+    return {f"{LOWRANK}.w1": np.ones((4, rank)), f"{LOWRANK}.w2": np.ones((rank, 2))}
+
+
+@st.composite
+def bad_config_entry(draw):
+    config = FUZZ_BASE["config"].copy()
+    index = draw(st.sampled_from([0, 2, 3, 4, 5]))
+    value = draw(st.integers(0, 8) | st.integers(0, 2 ** 52) | st.just(2 ** 40))
+    if value == config[index]:
+        value += 1
+    config[index] = value
+    bad = draw(st.sampled_from([None, 6, 7, 1]))
+    if bad is not None:
+        # Independently, put one entry out of the integer range.
+        config[bad] = draw(st.sampled_from([-1.0, 0.5, 2.0 ** 32, 1e300])
+                           if bad != 1 else st.sampled_from([-1.0, 0.5, 3.25]))
+    return {"config": config}
+
+
+@CLI_FUZZ_SETTINGS
+@given(edit=st.one_of(reshaped_tensor(), oversized_rank(), bad_config_entry()))
+def test_fuzz_cli_rejects_weights_that_hold_no_model(tmp_path_factory, edit):
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    path = root / "bad.lrts"
+    write_weights(path, {**FUZZ_BASE, **edit})
+    _assert_one_error_line(*_run_quietly(["info", str(path)]))
+    out = root / "out.lrts"
+    _assert_one_error_line(*_run_quietly(
+        ["compress", str(path), "--plan", "q=1", "--out", str(out)]))
+    assert not out.exists()
 
 
 def test_unknown_command_is_usage_error():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,17 @@ def test_lowrank_matches_materialized_dense():
 def test_lowrank_rejects_oversized_rank():
     with pytest.raises(ValueError):
         LowRankLinear(np.ones((3, 4)), np.ones((4, 5)))
+
+
+@pytest.mark.parametrize("bias", [np.zeros((2, 2)), np.zeros((1, 4)), np.zeros(()),
+                                  np.zeros(3)])
+def test_linear_rejects_bias_not_1d_of_output_width(bias):
+    # A (2, 2) bias used to be flattened, so a weights file holding one
+    # loaded and saved back with other bytes.
+    for make in (lambda b: DenseLinear(np.ones((3, 4)), b),
+                 lambda b: LowRankLinear(np.ones((3, 2)), np.ones((2, 4)), b)):
+        with pytest.raises(ValueError, match=re.escape(f"bias shape {bias.shape}")):
+            make(bias)
 
 
 def test_lowrank_param_count():

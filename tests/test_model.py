@@ -3,10 +3,12 @@ import re
 import numpy as np
 import pytest
 from helpers import assert_grads_close, finite_difference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrskel.compress import compress_model, parse_plan
 from lrskel.data import DatasetSpec, generate_dataset
-from lrskel.layers import DenseLinear, LowRankLinear
+from lrskel.layers import DenseLinear, LowRankLinear, backward
 from lrskel.linalg import svd, truncate_to_factors
 from lrskel.model import (
     ModelConfig,
@@ -40,6 +42,11 @@ def dense_and_lowrank(cfg):
     low-rank."""
     dense = build_model(cfg)
     return dense, compress_model(dense, parse_plan("q=1,k=2,v=3,o=4"))[0]
+
+
+def tiny_dense_and_lowrank():
+    dense = build_model(TINY)
+    return dense, compress_model(dense, parse_plan("q=1,v=1,o=2,embed=1"))[0]
 
 
 def test_config_validation():
@@ -251,6 +258,53 @@ def test_batch_gradients_sum_per_sample_gradients():
             assert np.abs(batched[name] - g).max() <= 1e-12 * scale, name
 
 
+# The model's tape is a GradTape like any op's: ``backward`` checks its
+# gradient, names the result from ``named_params`` and returns the input
+# features' gradient as ``grad_in``.
+
+@pytest.mark.parametrize("shape", [(9,), (3, 1, 3), (1, 9), (3, 4)])
+def test_backward_features_rejects_misshaped_grad_logits(shape):
+    m = build_model(TINY)
+    logits, tape = forward_features_tape(m, np.ones((3, 3, 6)))
+    assert logits.shape == (3, 3)
+    with pytest.raises(ValueError, match="does not match forward output"):
+        backward_features(m, tape, np.ones(shape))
+
+
+def test_model_tape_backward_equals_backward_features():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(4, 16, 24))
+    probe = rng.normal(size=(4, 8))
+    for m in dense_and_lowrank(TOY):
+        via_tape = backward(forward_features_tape(m, x)[1], probe)[1]
+        via_features = backward_features(m, forward_features_tape(m, x)[1], probe)
+        assert list(via_tape) == list(via_features) == list(named_params(m))
+        for name, g in via_tape.items():
+            assert g.tobytes() == via_features[name].tobytes(), name
+
+
+def test_model_tape_grad_in_matches_finite_differences():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(2, 3, 6))
+    probe = rng.normal(size=(2, 3))
+    for m in tiny_dense_and_lowrank():
+        _, tape = forward_features_tape(m, x)
+        grad_x, _ = backward(tape, probe)
+
+        def scalar():
+            return float((forward_features(m, x) * probe).sum())
+
+        assert_grads_close(grad_x, finite_difference(scalar, x), 1e-5)
+
+
+def test_model_tape_is_single_use():
+    m = build_model(TINY)
+    logits, tape = forward_features_tape(m, np.ones((3, 6)))
+    backward(tape, np.ones_like(logits))
+    with pytest.raises(RuntimeError, match="already consumed"):
+        backward(tape, np.ones_like(logits))
+
+
 def test_full_rank_compression_keeps_logits():
     m = build_model(TOY)
 
@@ -372,6 +426,66 @@ def test_config_entries_must_be_non_negative_integers(index, value, entry):
     tensors["config"][index] = value
     with pytest.raises(ValueError, match=rf"config entry {entry} .*{value}"):
         model_from_tensors(tensors)
+
+
+@pytest.mark.parametrize("index, entry", [(7, "seed_lo"), (6, "seed_hi")])
+@pytest.mark.parametrize("value", [2.0 ** 32, 2.0 ** 32 + 5])
+def test_config_seed_words_must_fit_32_bits(index, entry, value):
+    # Before this check, seed words (0, 2**32 + 5) loaded as seed 2**32 + 5
+    # and saved back as (1, 5).
+    tensors = model_to_tensors(build_model(TINY))
+    tensors["config"][index] = value
+    with pytest.raises(ValueError, match=rf"config entry {entry} must be below 2\*\*32"):
+        model_from_tensors(tensors)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    (1, "config asks for 1 blocks"), (2 ** 30, "config asks for"),
+    (0, "unexpected tensors"),
+])
+def test_loader_bounds_the_layer_walk_by_the_file(blocks, message):
+    # heads = d_model = 2**40 is a valid config on its own; walking its
+    # layer names would build 3 * 2**40 of them before any tensor is missed.
+    # With no blocks, no per-head name may be built at all.
+    tensors = model_to_tensors(build_model(TINY))
+    tensors["config"][2:5] = [2.0 ** 40, 2.0 ** 40, blocks]
+    with pytest.raises(ValueError, match=message):
+        model_from_tensors(tensors)
+
+
+def _round_trips_or_raises(tensors):
+    try:
+        loaded = model_from_tensors(tensors)
+    except ValueError:
+        return
+    again = model_to_tensors(loaded)
+    assert list(again) == list(tensors)
+    for name, arr in tensors.items():
+        assert again[name].shape == arr.shape, name
+        assert again[name].tobytes() == arr.tobytes(), name
+
+
+# Any config entry set to any number, a bias reshaped or dropped and a
+# low-rank pair given any rank: the loader either rejects the tensors or
+# gives a model that saves them back unchanged. Before, a (2, 2) bias and
+# seed words (0, 2**32 + 5) loaded and saved back as other tensors.
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(entries=st.dictionaries(st.integers(0, 7), st.integers(0, 2 ** 34)
+                               | st.sampled_from([-1.0, 0.5, 1e300])),
+       bias=st.sampled_from(["embed", "head", "blocks.0.wo"]),
+       bias_shape=st.sampled_from([None, (4,), (3,), (2, 2), (1, 4), (4, 1), ()]),
+       rank=st.integers(1, 4))
+def test_loader_round_trips_or_rejects(entries, bias, bias_shape, rank):
+    tensors = model_to_tensors(tiny_dense_and_lowrank()[1])
+    for index, value in entries.items():
+        tensors["config"][index] = value
+    if bias_shape is None:
+        del tensors[f"{bias}.bias"]
+    else:
+        tensors[f"{bias}.bias"] = np.ones(bias_shape)
+    tensors["blocks.0.heads.0.wq.w1"] = np.ones((4, rank))
+    tensors["blocks.0.heads.0.wq.w2"] = np.ones((rank, 2))
+    _round_trips_or_raises(tensors)
 
 
 def test_config_tensor_round_trips_every_entry():
