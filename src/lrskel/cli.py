@@ -2,12 +2,17 @@
 
 Every command resolves its settings from flags plus an optional JSON config
 file (flags win), echoes the resolved config for reproducibility, and exits
-0 on success, 1 on runtime or data errors, 2 on usage errors.
+0 on success, 1 on runtime or data errors, 2 on usage errors. A command's
+defaults dict names its settings: each entry is a ``--<key>`` flag of the
+default's type, and a value from a flag or the config file is converted by
+that type once, as it is read.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +22,7 @@ from .compress import (PlanParseError, _check_plan, compress_model, parse_plan,
                        rank_sweep, sweep_to_csv)
 from .container import ContainerError, write_atomic
 from .data import DatasetSpec, generate_dataset, load_dataset, save_dataset
-from .finetune import TrainConfig, evaluate, train
+from .finetune import TrainConfig, train
 from .model import (
     ModelConfig,
     build_model,
@@ -44,6 +49,10 @@ FINETUNE_DEFAULTS = {
     "epochs": 50, "lr": 0.01, "batch": 32, "milestones": "5,15,25,40",
     "decay": 0.1, "warmup": 0, "seed": 1,
 }
+COMPRESS_DEFAULTS = {"plan": ""}
+# Settings whose config dataclass field has another name.
+_FIELDS = {"noise": "noise_sigma", "lr": "base_lr", "batch": "batch_size",
+          "decay": "decay_factor", "warmup": "warmup_epochs"}
 
 
 class UsageError(Exception):
@@ -61,14 +70,9 @@ def _integer(value, what):
     raise UsageError(f"{what} must be an integer, got {value!r}")
 
 
-def _as_int(settings, key):
-    return _integer(settings[key], f"--{key.replace('_', '-')}")
-
-
-def _as_float(settings, key):
-    """``settings[key]`` as a float; a bool, a non-number or a non-finite
-    value is a UsageError."""
-    value = settings[key]
+def _finite(value, what):
+    """``value`` as a float; a bool, a non-number or a non-finite value is a
+    UsageError."""
     try:
         if not isinstance(value, bool):
             number = float(value)
@@ -76,18 +80,29 @@ def _as_float(settings, key):
                 return number
     except (TypeError, ValueError, OverflowError):
         pass
-    raise UsageError(
-        f"--{key.replace('_', '-')} must be a finite number, got {value!r}")
+    raise UsageError(f"{what} must be a finite number, got {value!r}")
 
 
-def _positive(settings, *keys):
-    for key in keys:
-        if _as_int(settings, key) < 1:
-            raise UsageError(f"--{key.replace('_', '-')} must be >= 1")
+def _milestones(value, what):
+    """A comma-separated string (or a JSON list) as a tuple of ints."""
+    if not isinstance(value, (list, tuple)):
+        text = str(value).strip()
+        value = text.split(",") if text else ()
+    return tuple(_integer(v, f"each of {what}") for v in value)
 
 
-def _resolve(args, defaults, extra):
-    """Merge flag values over config-file values over defaults."""
+# A setting has its default's type; only milestones is parsed further.
+_CONVERT = {int: _integer, float: _finite, str: lambda value, what: str(value)}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _resolve(args, defaults):
+    """Merge flag values over config-file values over defaults, echo them
+    with the command's path arguments, and return each setting converted by
+    its default's type."""
     file_values = {}
     if args.config is not None:
         try:
@@ -103,22 +118,29 @@ def _resolve(args, defaults, extra):
     settings = {}
     for key, default in defaults.items():
         flag = getattr(args, key)
-        if flag is not None:
-            settings[key] = flag
-        elif key in file_values:
-            settings[key] = file_values[key]
-        else:
-            settings[key] = default
-    settings.update(extra)
-    print("config:", json.dumps(settings, sort_keys=True))
+        settings[key] = flag if flag is not None else file_values.get(key, default)
+    paths = {key: value for key, value in vars(args).items()
+             if key not in defaults and key not in ("command", "config", "func")}
+    print("config:", json.dumps({**settings, **paths}, sort_keys=True))
+    for key, value in settings.items():
+        convert = _milestones if key == "milestones" else _CONVERT[type(defaults[key])]
+        settings[key] = convert(value, _flag(key))
     return settings
 
 
-def _parse_milestones(value):
-    if not isinstance(value, (list, tuple)):
-        text = str(value).strip()
-        value = text.split(",") if text else ()
-    return tuple(_integer(v, "each of --milestones") for v in value)
+def _fields(settings, defaults):
+    """The settings named in ``defaults``, keyed by their config field."""
+    return {_FIELDS.get(key, key): settings[key] for key in defaults}
+
+
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a ValueError from the settings' checks as a usage error; a
+    config dataclass's message names the field."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _load_splits(data_dir):
@@ -127,45 +149,24 @@ def _load_splits(data_dir):
     return load_dataset(train_path), load_dataset(test_path)
 
 
-def _train_config(settings):
-    _positive(settings, "epochs", "batch")
-    if _as_float(settings, "lr") < 0:
-        raise UsageError("--lr must be non-negative")
-    try:
-        return TrainConfig(
-            base_lr=_as_float(settings, "lr"),
-            epochs=_as_int(settings, "epochs"),
-            batch_size=_as_int(settings, "batch"),
-            decay_factor=_as_float(settings, "decay"),
-            milestones=_parse_milestones(settings["milestones"]),
-            warmup_epochs=_as_int(settings, "warmup"),
-            seed=_as_int(settings, "seed"),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _history_path(settings):
-    return settings["history"] or settings["out"] + ".history.csv"
+def _fit(args, model, train_samples, test_samples, tcfg):
+    """Train ``model``, then write its weights and history and report."""
+    fitted, history = train(model, train_samples, test_samples, tcfg)
+    save_model(args.out, fitted)
+    history_path = args.history or args.out + ".history.csv"
+    write_atomic(history_path, history.to_csv().encode())
+    last = history.records[-1]
+    print(f"final test top-1: {last.test_top1:.4f} "
+          f"(best {history.best_top1:.4f} at epoch {history.best_epoch})")
+    print(f"wrote {args.out} and {history_path}")
+    return 0
 
 
 def cmd_gen(args):
-    settings = _resolve(args, GEN_DEFAULTS, {"out": args.out})
-    _positive(settings, "classes", "train_per_class", "test_per_class",
-              "frames", "joints")
-    try:
-        spec = DatasetSpec(
-            classes=_as_int(settings, "classes"),
-            train_per_class=_as_int(settings, "train_per_class"),
-            test_per_class=_as_int(settings, "test_per_class"),
-            frames=_as_int(settings, "frames"),
-            joints=_as_int(settings, "joints"),
-            noise_sigma=_as_float(settings, "noise"),
-            seed=_as_int(settings, "seed"),
-        )
+    settings = _resolve(args, GEN_DEFAULTS)
+    with _usage_errors():
+        spec = DatasetSpec(**_fields(settings, GEN_DEFAULTS))
         train_samples, test_samples = generate_dataset(spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
     save_dataset(os.path.join(args.out, TRAIN_FILE), train_samples)
     save_dataset(os.path.join(args.out, TEST_FILE), test_samples)
@@ -175,52 +176,32 @@ def cmd_gen(args):
 
 
 def cmd_train(args):
-    settings = _resolve(args, {**MODEL_DEFAULTS, **TRAIN_DEFAULTS}, {
-        "data": args.data, "out": args.out, "history": args.history,
-    })
-    _positive(settings, "d_model", "heads")
-    if _as_int(settings, "blocks") < 0:
-        raise UsageError("--blocks must be >= 0")
-    tcfg = _train_config(settings)
+    settings = _resolve(args, {**MODEL_DEFAULTS, **TRAIN_DEFAULTS})
+    with _usage_errors():
+        tcfg = TrainConfig(**_fields(settings, TRAIN_DEFAULTS))
+        # The data sets joints, frames and classes; 1 stands in for them so
+        # that the model settings are checked before any file is read.
+        mcfg = ModelConfig(joints=1, frames=1, classes=1, seed=tcfg.seed,
+                           **_fields(settings, MODEL_DEFAULTS))
     train_samples, test_samples = _load_splits(args.data)
     if not train_samples or not test_samples:
         raise ValueError("dataset is empty")
     frames, joints, _ = train_samples[0].coords.shape
     classes = 1 + max(s.label for s in train_samples + test_samples)
-    try:
-        mcfg = ModelConfig(
-            joints=joints, frames=frames,
-            d_model=_as_int(settings, "d_model"),
-            heads=_as_int(settings, "heads"),
-            blocks=_as_int(settings, "blocks"),
-            classes=classes, seed=_as_int(settings, "seed"),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    model = build_model(mcfg)
-    trained, history = train(model, train_samples, test_samples, tcfg)
-    save_model(args.out, trained)
-    history_path = _history_path(settings)
-    write_atomic(history_path, history.to_csv().encode())
-    last = history.records[-1]
-    print(f"final test top-1: {last.test_top1:.4f} "
-          f"(best {history.best_top1:.4f} at epoch {history.best_epoch})")
-    print(f"wrote {args.out} and {history_path}")
-    return 0
+    mcfg = dataclasses.replace(mcfg, joints=joints, frames=frames, classes=classes)
+    return _fit(args, build_model(mcfg), train_samples, test_samples, tcfg)
 
 
 def cmd_compress(args):
-    settings = _resolve(args, {"plan": ""}, {
-        "weights": args.weights, "out": args.out, "report": args.report,
-    })
+    settings = _resolve(args, COMPRESS_DEFAULTS)
     try:
-        plan = parse_plan(str(settings["plan"]))
+        plan = parse_plan(settings["plan"])
     except PlanParseError as exc:
         raise UsageError(f"bad --plan: {exc}") from exc
     model = load_model(args.weights)
     compressed, report = compress_model(model, plan)
     save_model(args.out, compressed)
-    report_path = settings["report"] or args.out + ".report.csv"
+    report_path = args.report or args.out + ".report.csv"
     write_atomic(report_path, report.to_csv().encode())
     print(f"params: {report.params_before} -> {report.params_after}")
     print(f"flops (T={report.reference_frames}): "
@@ -230,10 +211,7 @@ def cmd_compress(args):
 
 
 def cmd_sweep(args):
-    settings = _resolve(args, {}, {
-        "weights": args.weights, "data": args.data,
-        "grid": args.grid, "out": args.out,
-    })
+    _resolve(args, {})
     model = load_model(args.weights)
     test_samples = load_dataset(os.path.join(args.data, TEST_FILE))
     grid = []
@@ -259,22 +237,11 @@ def cmd_sweep(args):
 
 
 def cmd_finetune(args):
-    settings = _resolve(args, dict(FINETUNE_DEFAULTS), {
-        "weights": args.weights, "data": args.data,
-        "out": args.out, "history": args.history,
-    })
-    tcfg = _train_config(settings)
+    settings = _resolve(args, FINETUNE_DEFAULTS)
+    with _usage_errors():
+        tcfg = TrainConfig(**_fields(settings, FINETUNE_DEFAULTS))
     model = load_model(args.weights)
-    train_samples, test_samples = _load_splits(args.data)
-    tuned, history = train(model, train_samples, test_samples, tcfg)
-    save_model(args.out, tuned)
-    history_path = _history_path(settings)
-    write_atomic(history_path, history.to_csv().encode())
-    last = history.records[-1]
-    print(f"final test top-1: {last.test_top1:.4f} "
-          f"(best {history.best_top1:.4f} at epoch {history.best_epoch})")
-    print(f"wrote {args.out} and {history_path}")
-    return 0
+    return _fit(args, model, *_load_splits(args.data), tcfg)
 
 
 def cmd_info(args):
@@ -293,20 +260,11 @@ def cmd_info(args):
     return 0
 
 
-def _add_config_flags(p, seed=False):
+def _add_settings(p, defaults):
     p.add_argument("--config", help="JSON config file; flags override it")
-    if seed:
-        p.add_argument("--seed", type=int)
-
-
-def _add_train_flags(p):
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--milestones", help="comma-separated epoch indices")
-    p.add_argument("--decay", type=float)
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--history", help="history CSV path (default <out>.history.csv)")
+    for key, default in defaults.items():
+        p.add_argument(_flag(key), dest=key, type=type(default),
+                       help=f"default: {default!r}")
 
 
 def build_parser():
@@ -318,49 +276,40 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic skeleton dataset")
-    _add_config_flags(p, seed=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--train-per-class", type=int, dest="train_per_class")
-    p.add_argument("--test-per-class", type=int, dest="test_per_class")
-    p.add_argument("--frames", type=int)
-    p.add_argument("--joints", type=int)
-    p.add_argument("--noise", type=float)
+    _add_settings(p, GEN_DEFAULTS)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train a model from scratch")
     p.add_argument("data", help="dataset directory from 'gen'")
-    _add_config_flags(p, seed=True)
     p.add_argument("--out", required=True, help="weights file")
-    p.add_argument("--d-model", type=int, dest="d_model")
-    p.add_argument("--heads", type=int)
-    p.add_argument("--blocks", type=int)
-    _add_train_flags(p)
+    p.add_argument("--history", help="history CSV path (default <out>.history.csv)")
+    _add_settings(p, {**MODEL_DEFAULTS, **TRAIN_DEFAULTS})
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("compress", help="apply a low-rank plan to weights")
+    p = sub.add_parser("compress", help="apply a low-rank plan such as "
+                       '"q=1,k=3" to weights (omitted groups stay dense)')
     p.add_argument("weights", help="input weights file")
-    _add_config_flags(p)
     p.add_argument("--out", required=True, help="compressed weights file")
-    p.add_argument("--plan", help='e.g. "q=1,k=3" (omitted groups stay dense)')
     p.add_argument("--report", help="report CSV path (default <out>.report.csv)")
+    _add_settings(p, COMPRESS_DEFAULTS)
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("sweep", help="score a grid of plans without fine-tuning")
     p.add_argument("weights", help="input weights file")
     p.add_argument("data", help="dataset directory")
-    _add_config_flags(p)
     p.add_argument("--grid", required=True,
                    help="file with one plan per line, '#' comments allowed")
     p.add_argument("--out", required=True, help="sweep CSV path")
+    _add_settings(p, {})
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("finetune", help="fine-tune compressed weights")
     p.add_argument("weights", help="input weights file")
     p.add_argument("data", help="dataset directory")
-    _add_config_flags(p, seed=True)
     p.add_argument("--out", required=True, help="output weights file")
-    _add_train_flags(p)
+    p.add_argument("--history", help="history CSV path (default <out>.history.csv)")
+    _add_settings(p, FINETUNE_DEFAULTS)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("info", help="summarize a weights file")
@@ -383,6 +332,9 @@ def main(argv=None) -> int:
         return 2
     except ContainerError as exc:
         print(f"error: corrupt container: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

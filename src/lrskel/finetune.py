@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import csv
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -45,6 +46,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for m in self.milestones:
+            if isinstance(m, bool) or not (isinstance(m, numbers.Integral) or (
+                    isinstance(m, numbers.Real) and float(m).is_integer())):
+                raise ValueError(f"milestones entry {m!r} is not an integer")
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
         if not self.base_lr >= 0.0:
             raise ValueError("base_lr must be non-negative")

@@ -347,7 +347,10 @@ def model_from_tensors(tensors: dict) -> SkeletonModel:
             raise ValueError(f"layer {name} has {cls.FACTORS[0]} but no {missing[0]}")
         keys = [f"{name}.{p}" for p in cls.FACTORS + ("bias",)]
         consumed.update(keys)
-        return cls(*(tensors.get(key) for key in keys))
+        try:
+            return cls(*(tensors.get(key) for key in keys))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
 
     layers = [rebuild(name) for name, _ in layer_specs(cfg)]
     extra = set(tensors) - consumed

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import counting_svd
-from lrskel.cli import main
+from lrskel.cli import (COMPRESS_DEFAULTS, FINETUNE_DEFAULTS, GEN_DEFAULTS,
+                        MODEL_DEFAULTS, TRAIN_DEFAULTS, build_parser, main)
 from lrskel.compress import compress_model, parse_plan
 from lrskel.data import load_dataset
 from lrskel.finetune import evaluate
@@ -129,6 +131,24 @@ def test_train_non_integer_setting_is_usage_error(tmp_path, capsys, values):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
     assert "must be an integer" in err[0]
+    assert not out.exists()
+
+
+# Sizes that ask for one array of more than 2**57 bytes, which no 64-bit
+# Linux process can map, and less than 2**63, so numpy raises MemoryError
+# without allocating anything (a larger one is numpy's ValueError).
+@pytest.mark.parametrize("command, flags", [
+    ("gen", ["--classes", "1", "--train-per-class", str(10 ** 15)]),
+    ("train", SMALL_MODEL + ["--d-model", str(10 ** 16), "--heads", "1"]),
+], ids=["gen-clips", "train-d-model"])
+def test_impossible_size_is_one_error_line(tmp_path, command, flags):
+    data = tmp_path / "data"
+    assert main(["gen", "--out", str(data)] + SMALL_GEN) == 0
+    out = tmp_path / "out"
+    args = [command, str(data)] if command == "train" else [command]
+    code, err = _run_quietly(args + ["--out", str(out)] + flags)
+    _assert_one_error_line(code, err)
+    assert "out of memory" in err
     assert not out.exists()
 
 
@@ -420,6 +440,8 @@ def _assert_one_error_line(code, err):
      "config entry seed_lo must be below 2**32, got 4294967301.0"),
     (lambda t: t.update({"embed.bias": t["embed.bias"].reshape(2, 2)}),
      "bias shape (2, 2) != output width (4,)"),
+    (lambda t: t.update({"blocks.0.heads.1.wk.bias": np.ones((2, 2))}),
+     "error: blocks.0.heads.1.wk: bias shape (2, 2) != output width (2,)"),
 ])
 def test_info_rejects_file_that_would_not_round_trip(tmp_path, edit, message):
     tensors = {name: arr.copy() for name, arr in FUZZ_BASE.items()}
@@ -498,3 +520,67 @@ def test_missing_required_flag_is_usage_error():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+# A command's defaults dict is the one place its settings are named: the
+# parser has one --<key> flag of the default's type for each entry, and no
+# other setting flag.
+COMMAND_DEFAULTS = {
+    "gen": GEN_DEFAULTS, "train": {**MODEL_DEFAULTS, **TRAIN_DEFAULTS},
+    "compress": COMPRESS_DEFAULTS, "sweep": {}, "finetune": FINETUNE_DEFAULTS,
+    "info": {},
+}
+PATH_OPTIONS = {"help", "config", "out", "history", "report", "grid"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
+def test_setting_flags_are_the_defaults(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMAND_DEFAULTS)
+    flags = [a for a in sub.choices[command]._actions
+             if a.option_strings and a.dest not in PATH_OPTIONS]
+    defaults = COMMAND_DEFAULTS[command]
+    assert sorted(a.dest for a in flags) == sorted(defaults)
+    for action in flags:
+        expected = str if action.dest == "milestones" else type(defaults[action.dest])
+        assert action.type is expected, action.dest
+        assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+        assert action.default is None
+
+
+# Any JSON object of known and unknown keys holding any JSON value, through
+# commands whose data and weights are missing: a value is either rejected
+# as a usage error or reaches the first file read, so no run generates data,
+# builds a model or trains.
+EDGE_VALUES = st.sampled_from([10 ** 400, -10 ** 400, 2 ** 64, -1, 0, float("inf"),
+                               float("-inf"), float("nan"), True, None, "", "1,2"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3), max_leaves=6)
+
+
+@pytest.mark.parametrize("command", ["train", "finetune", "compress"])
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzz_config_file_fails_cleanly(tmp_path_factory, command, data):
+    defaults = COMMAND_DEFAULTS[command]
+    values = data.draw(st.fixed_dictionaries({}, optional={
+        key: st.just(default) | EDGE_VALUES | JSON_VALUES
+        for key, default in defaults.items()}))
+    if data.draw(st.sampled_from([False, False, False, True])):
+        values.update(data.draw(st.dictionaries(st.text(max_size=8), JSON_VALUES,
+                                                min_size=1, max_size=2)))
+    root = tmp_path_factory.mktemp("config_fuzz")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    weights, missing_data, out = root / "none.lrts", root / "no-data", root / "out"
+    inputs = {"train": [str(missing_data)], "compress": [str(weights)],
+              "finetune": [str(weights), str(missing_data)]}[command]
+    code, err = _run_quietly([command, *inputs, "--out", str(out), "--config", str(cfg)])
+    assert code in (1, 2), err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:" if code == 2 else "error:"), err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -82,6 +83,19 @@ def test_config_validation():
         TrainConfig(base_lr=0.1, epochs=5, decay_factor=0.0)
     with pytest.raises(ValueError):
         TrainConfig(base_lr=0.1, epochs=5, batch_size=0)
+
+
+@pytest.mark.parametrize("entry", [1.9, "2", True, float("inf"), float("nan"), None])
+def test_milestones_must_be_integers(entry):
+    # int() alone would turn 1.9 into 1, '2' into 2 and True into 1.
+    with pytest.raises(ValueError, match=re.escape(f"milestones entry {entry!r}")):
+        TrainConfig(base_lr=0.1, epochs=5, milestones=(entry,))
+
+
+def test_integral_milestones_are_kept_as_ints():
+    cfg = TrainConfig(base_lr=0.1, epochs=5, milestones=(np.int64(1), 2.0, 3))
+    assert cfg.milestones == (1, 2, 3)
+    assert all(type(m) is int for m in cfg.milestones)
 
 
 def small_setup():

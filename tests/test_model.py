@@ -405,6 +405,13 @@ LOADER_CASES = {
                   "weights file has no config tensor"),
     "short_config": (lambda t: t.update(config=t["config"][:7]),
                      "config tensor must have 8 entries, got (7,)"),
+    # A layer constructor's error is prefixed with the layer's name.
+    "square_bias": (lambda t: t.update({"blocks.0.heads.1.wk.bias": np.ones((2, 2))}),
+                    "blocks.0.heads.1.wk: bias shape (2, 2) != output width (2,)"),
+    "w1_ndim_3": (lambda t: t.update({f"{LV}.w1": np.ones((4, 1, 1))}),
+                  f"{LV}: w1 must be 2-D, got ndim=3"),
+    "non_finite_bias": (lambda t: t["head.bias"].__setitem__(0, np.inf),
+                        "head: bias contains non-finite entries"),
 }
 
 
