@@ -108,7 +108,7 @@ def _resolve(args, defaults):
         try:
             with open(args.config) as fh:
                 file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")

@@ -58,9 +58,6 @@ class CompressionPlan:
     def ranks(self) -> dict:
         return dict(self._ranks)
 
-    def is_identity(self) -> bool:
-        return not self._ranks
-
     def render(self) -> str:
         if not self._ranks:
             return "full"
@@ -68,9 +65,6 @@ class CompressionPlan:
 
     def __eq__(self, other):
         return isinstance(other, CompressionPlan) and self._ranks == other._ranks
-
-    def __hash__(self):
-        return hash(tuple(sorted(self._ranks.items())))
 
     def __repr__(self):
         return f"CompressionPlan({self._ranks!r})"

@@ -83,18 +83,17 @@ def _generate_split(spec, amps, phases, per_class, rng):
             + phases[label][None, :, :]
         )
         base = amps[label][None, :, :] * np.sin(angle)
-        if spec.noise_sigma > 0.0:
-            # One draw per class gives the same stream as one draw per clip.
-            clips = rng.normal(0.0, spec.noise_sigma, size=(per_class,) + base.shape)
-            clips += base
-            if not np.isfinite(clips).all():
-                raise ValueError(
-                    f"noise_sigma {spec.noise_sigma} overflows the clip coordinates")
-            # One copy per clip: views into ``clips`` measured ~2 MB more
-            # peak RSS in a default-size train run.
-            samples += [SkeletonSample(coords=c.copy(), label=label) for c in clips]
-        else:
-            samples += [SkeletonSample(coords=base.copy(), label=label) for _ in range(per_class)]
+        # One draw per class gives the same stream as one draw per clip. At
+        # noise_sigma 0 the draw is all +0.0, so every clip equals ``base``,
+        # and an impossible size fails here at once.
+        clips = rng.normal(0.0, spec.noise_sigma, size=(per_class,) + base.shape)
+        clips += base
+        if not np.isfinite(clips).all():
+            raise ValueError(
+                f"noise_sigma {spec.noise_sigma} overflows the clip coordinates")
+        # One copy per clip: views into ``clips`` measured ~2 MB more
+        # peak RSS in a default-size train run.
+        samples += [SkeletonSample(coords=c.copy(), label=label) for c in clips]
     return samples
 
 

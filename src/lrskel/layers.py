@@ -392,6 +392,3 @@ class MhsaBlock:
             for name, layer in self.named_projections()
             for n, arr in layer.params().items()
         }
-
-    def param_count(self) -> int:
-        return sum(layer.param_count() for _, layer in self.named_projections())

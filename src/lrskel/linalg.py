@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_SVD_TOL = 1e-12
+# A column pair (p, q) counts as orthogonal once
+# |b_p . b_q| <= SVD_TOL * ||b_p|| * ||b_q||.
+SVD_TOL = 1e-12
 MAX_SWEEPS = 100
 
 
@@ -63,21 +65,19 @@ class SvdResult:
         return (self.u[:, :r] * self.sigma) @ self.vt[:r, :]
 
 
-def svd(a, tol: float = DEFAULT_SVD_TOL) -> SvdResult:
+def svd(a) -> SvdResult:
     """Full SVD via one-sided Jacobi rotations in round-robin order.
 
     A tall input is first reduced by a Householder QR, ``a = Q [R; 0]``, so
     the rotations work on the cols x cols triangle R; a wide input goes
     through its transpose. Each Jacobi sweep runs as n-1 steps (n when n is
-    odd) that each rotate up to n/2 disjoint column pairs at once.
+    odd) that each rotate up to n/2 disjoint column pairs at once, until
+    every pair is orthogonal to the relative threshold ``SVD_TOL``.
 
     Parameters
     ----------
     a : array_like
         Finite real matrix.
-    tol : float
-        Relative off-diagonal convergence threshold: a column pair (p, q)
-        counts as orthogonal once |b_p . b_q| <= tol * ||b_p|| * ||b_q||.
 
     Raises
     ------
@@ -85,22 +85,20 @@ def svd(a, tol: float = DEFAULT_SVD_TOL) -> SvdResult:
         If the sweep cap is reached; the message reports the worst residual.
     """
     a = as_matrix(a, "a")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     m, n = a.shape
     if m >= n:
-        u, sigma, vt = _jacobi_svd(a, tol)
+        u, sigma, vt = _jacobi_svd(a)
     else:
         # Work on the transpose so columns outnumber rows never happens:
         # a.T = ub S vbt  =>  a = vbt.T S ub.T
-        ub, sigma, vbt = _jacobi_svd(a.T, tol)
+        ub, sigma, vbt = _jacobi_svd(a.T)
         u = np.ascontiguousarray(vbt.T)
         vt = np.ascontiguousarray(ub.T)
     _apply_sign_convention(u, vt, sigma.size)
     return SvdResult(u=u, sigma=sigma, vt=vt)
 
 
-def _jacobi_svd(b, tol):
+def _jacobi_svd(b):
     """SVD of ``b`` with rows >= cols; returns (u full, sigma, vt full).
 
     A tall ``b`` = Q [R; 0] (complete Householder QR) has the singular
@@ -109,22 +107,22 @@ def _jacobi_svd(b, tol):
     """
     rows, cols = b.shape
     if rows == cols:
-        return _jacobi_square(b, tol)
+        return _jacobi_square(b)
     q, r = np.linalg.qr(b, mode="complete")
-    u_r, sigma, vt = _jacobi_square(r[:cols], tol)
+    u_r, sigma, vt = _jacobi_square(r[:cols])
     u = np.empty((rows, rows))
     u[:, :cols] = q[:, :cols] @ u_r
     u[:, cols:] = q[:, cols:]
     return u, sigma, vt
 
 
-def _jacobi_square(b, tol):
+def _jacobi_square(b):
     """One-sided Jacobi on a square ``b``; returns (u, sigma, vt).
 
     Two contiguous arrays hold the state: row i of ``cols`` is column i of
     the rotated matrix and row i of ``v`` is column i of the accumulated V,
     so rotating a column pair updates two rows of each. A step gathers only
-    ``cols`` rows to find the pairs not yet orthogonal to ``tol``, then
+    ``cols`` rows to find the pairs not yet orthogonal to ``SVD_TOL``, then
     rotates those pairs, and only those, in both arrays with one batched
     2 x 2 matmul each. A sweep without any rotation ends the iteration.
     """
@@ -142,7 +140,7 @@ def _jacobi_square(b, tol):
             norms = np.einsum("kij,kij->ki", x, x)
             alpha, beta = norms[:, 0], norms[:, 1]
             gamma = np.einsum("ij,ij->i", x[:, 0], x[:, 1])
-            active = np.abs(gamma) > tol * np.sqrt(alpha * beta)
+            active = np.abs(gamma) > SVD_TOL * np.sqrt(alpha * beta)
             n_active = np.count_nonzero(active)
             if not n_active:
                 continue
@@ -240,11 +238,6 @@ class TruncatedFactors:
 
     w1: np.ndarray
     w2: np.ndarray
-    k: int
-
-    @property
-    def param_count(self) -> int:
-        return self.k * (self.w1.shape[0] + self.w2.shape[1])
 
     def materialize(self) -> np.ndarray:
         return self.w1 @ self.w2
@@ -255,7 +248,7 @@ def truncate_to_factors(s: SvdResult, k: int) -> TruncatedFactors:
     _check_rank(s, k)
     w1 = s.u[:, :k] * s.sigma[:k]
     w2 = s.vt[:k, :].copy()
-    return TruncatedFactors(w1=w1, w2=w2, k=k)
+    return TruncatedFactors(w1=w1, w2=w2)
 
 
 def reconstruction_error(s: SvdResult, k: int) -> float:

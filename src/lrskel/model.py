@@ -177,10 +177,6 @@ def sample_features(coords, cfg: ModelConfig) -> np.ndarray:
     return coords.reshape(cfg.frames, cfg.input_width)
 
 
-def _coords_of(sample):
-    return getattr(sample, "coords", sample)
-
-
 def _features(model: SkeletonModel, x):
     """Body of both feature entry points: logits for one sample already
     flattened to T x 3J (1 x classes) or for a B x T x 3J stack of them
@@ -230,11 +226,11 @@ def forward_features_tape(model: SkeletonModel, x):
 
 
 def forward(model: SkeletonModel, samples) -> np.ndarray:
-    """Logits for a batch of skeleton samples (or raw T x J x 3 arrays).
+    """Logits for a batch of skeleton samples.
 
     Raises ValueError when a logit is not finite, as a diverged model's are.
     """
-    feats = [sample_features(_coords_of(s), model.config) for s in samples]
+    feats = [sample_features(s.coords, model.config) for s in samples]
     if not feats:
         raise ValueError("empty batch")
     return _score_features(model, feats)

@@ -140,7 +140,8 @@ def test_train_non_integer_setting_is_usage_error(tmp_path, capsys, values):
 @pytest.mark.parametrize("command, flags", [
     ("gen", ["--classes", "1", "--train-per-class", str(10 ** 15)]),
     ("train", SMALL_MODEL + ["--d-model", str(10 ** 16), "--heads", "1"]),
-], ids=["gen-clips", "train-d-model"])
+    ("gen", ["--noise", "0", "--classes", "1", "--train-per-class", str(10 ** 15)]),
+], ids=["gen-clips", "train-d-model", "gen-noiseless-clips"])
 def test_impossible_size_is_one_error_line(tmp_path, command, flags):
     data = tmp_path / "data"
     assert main(["gen", "--out", str(data)] + SMALL_GEN) == 0
@@ -181,6 +182,18 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert main(["gen", "--out", str(tmp_path / "d"),
                  "--config", str(cfg)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"[" * 100000, b"\xff\xfe{}"],
+                         ids=["nested-too-deep", "not-utf8"])
+def test_unreadable_config_file_is_usage_error(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    out = tmp_path / "d"
+    assert main(["gen", "--out", str(out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error: cannot read config file: ")
+    assert not out.exists()
 
 
 def test_train_writes_weights_and_history(workspace):

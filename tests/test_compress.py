@@ -18,7 +18,7 @@ from lrskel.compress import (
     rank_sweep,
     sweep_to_csv,
 )
-from lrskel.data import DatasetSpec, generate_dataset
+from lrskel.data import DatasetSpec, SkeletonSample, generate_dataset
 from lrskel.finetune import TrainConfig, evaluate, train
 from lrskel.linalg import frobenius, reconstruction_error, svd
 from lrskel.model import ModelConfig, build_model, count_params, forward, named_layers, named_params
@@ -46,7 +46,7 @@ def test_parse_plan_two_groups():
 def test_parse_plan_empty_is_identity():
     assert parse_plan("") == CompressionPlan()
     assert parse_plan("full") == CompressionPlan()
-    assert parse_plan("").is_identity()
+    assert parse_plan("").ranks == {}
 
 
 def test_parse_plan_full_group_equals_omitted():
@@ -108,7 +108,7 @@ def test_identity_plan_keeps_everything():
     m = toy_model()
     compressed, report = compress_model(m, CompressionPlan())
     rng = np.random.default_rng(0)
-    batch = [rng.normal(size=(8, 3, 3)) for _ in range(3)]
+    batch = [SkeletonSample(rng.normal(size=(8, 3, 3)), 0) for _ in range(3)]
     assert np.array_equal(forward(m, batch), forward(compressed, batch))
     assert report.params_after == report.params_before
     for name, arr in named_params(m).items():
@@ -121,7 +121,7 @@ def test_full_rank_plan_keeps_logits_and_doubles_square_layers():
                             "HEAD": 4})
     compressed, report = compress_model(m, plan)
     rng = np.random.default_rng(1)
-    batch = [rng.normal(size=(8, 3, 3)) for _ in range(4)]
+    batch = [SkeletonSample(rng.normal(size=(8, 3, 3)), 0) for _ in range(4)]
     a = forward(m, batch)
     b = forward(compressed, batch)
     assert np.abs(a - b).max() < 1e-8

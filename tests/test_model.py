@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrskel.compress import compress_model, parse_plan
-from lrskel.data import DatasetSpec, generate_dataset
+from lrskel.data import DatasetSpec, SkeletonSample, generate_dataset
 from lrskel.layers import DenseLinear, LowRankLinear, backward
 from lrskel.linalg import svd, truncate_to_factors
 from lrskel.model import (
@@ -82,7 +82,7 @@ def test_zero_blocks_still_classifies():
                       classes=3, seed=1)
     m = build_model(cfg)
     rng = np.random.default_rng(0)
-    logits = forward(m, [rng.normal(size=(4, 2, 3))])
+    logits = forward(m, [SkeletonSample(rng.normal(size=(4, 2, 3)), 0)])
     assert logits.shape == (1, 3)
     assert np.isfinite(logits).all()
 
@@ -144,7 +144,7 @@ def test_forward_matches_manual_composition():
     for block in m.blocks:
         h = h + block.forward(h)
     expected = m.head.forward(h.mean(axis=0, keepdims=True))
-    got = forward(m, [coords])
+    got = forward(m, [SkeletonSample(coords, 0)])
     assert np.abs(got - expected).max() < 1e-12
 
 
@@ -152,7 +152,7 @@ def test_forward_batch_independence():
     # 70 samples span several of forward's stacked chunks, the last one
     # partial; every row must equal that sample scored on its own.
     rng = np.random.default_rng(3)
-    samples = rng.normal(size=(70, 16, 8, 3))
+    samples = [SkeletonSample(c, 0) for c in rng.normal(size=(70, 16, 8, 3))]
     for m in dense_and_lowrank(TOY):
         batch = forward(m, samples)
         assert batch.shape == (70, 8)
@@ -162,14 +162,14 @@ def test_forward_batch_independence():
 
 def test_forward_zero_input_uniform_logits():
     m = build_model(TOY)
-    logits = forward(m, [np.zeros((16, 8, 3))])
+    logits = forward(m, [SkeletonSample(np.zeros((16, 8, 3)), 0)])
     assert np.abs(logits - logits[0, 0]).max() < 1e-12
 
 
 def test_forward_shape_mismatch():
     m = build_model(TOY)
     with pytest.raises(ValueError):
-        forward(m, [np.zeros((15, 8, 3))])
+        forward(m, [SkeletonSample(np.zeros((15, 8, 3)), 0)])
 
 
 def test_forward_rejects_nonfinite():
@@ -177,7 +177,7 @@ def test_forward_rejects_nonfinite():
     bad = np.zeros((16, 8, 3))
     bad[0, 0, 0] = np.inf
     with pytest.raises(ValueError):
-        forward(m, [bad])
+        forward(m, [SkeletonSample(bad, 0)])
 
 
 def test_forward_rejects_nonfinite_logits():
@@ -185,7 +185,7 @@ def test_forward_rejects_nonfinite_logits():
     m.head.weight[0, 0] = np.inf
     coords = np.random.default_rng(6).normal(size=(16, 8, 3))
     with pytest.raises(ValueError, match="logits"):
-        forward(m, [coords])
+        forward(m, [SkeletonSample(coords, 0)])
 
 
 def test_cross_entropy_uniform_logits():
