@@ -22,7 +22,7 @@ from .compress import (PlanParseError, _check_plan, compress_model, parse_plan,
                        rank_sweep, sweep_to_csv)
 from .container import ContainerError, write_atomic
 from .data import DatasetSpec, generate_dataset, load_dataset, save_dataset
-from .finetune import TrainConfig, train
+from .finetune import TrainConfig, TrainingDiverged, train
 from .model import (
     ModelConfig,
     build_model,
@@ -151,9 +151,15 @@ def _load_splits(data_dir):
 
 def _fit(args, model, train_samples, test_samples, tcfg):
     """Train ``model``, then write its weights and history and report."""
-    fitted, history = train(model, train_samples, test_samples, tcfg)
-    save_model(args.out, fitted)
     history_path = args.history or args.out + ".history.csv"
+    try:
+        fitted, history = train(model, train_samples, test_samples, tcfg)
+    except TrainingDiverged as exc:
+        # The completed epochs' history, header only if there are none;
+        # no weights file.
+        write_atomic(history_path, exc.history.to_csv().encode())
+        raise
+    save_model(args.out, fitted)
     write_atomic(history_path, history.to_csv().encode())
     last = history.records[-1]
     print(f"final test top-1: {last.test_top1:.4f} "

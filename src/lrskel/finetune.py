@@ -1,11 +1,15 @@
 """Training loop with a warm-up plus step-decay learning-rate schedule.
 
-Plain mini-batch SGD over the cross-entropy loss. Shuffling is reseeded per
-epoch from ``seed + epoch``; each mini-batch runs as one stacked forward and
-one backward whose gradients sum over the batch, and batches update the
-weights in that fixed order, so a fixed seed reproduces a run bit for bit.
+Plain mini-batch SGD over the cross-entropy loss, on a private copy of the
+model whose parameters are views into one flat buffer, in ``named_params``
+order. Shuffling is reseeded per epoch from ``seed + epoch``; each
+mini-batch runs as one stacked forward and one backward whose gradients sum
+over the batch and come back as a list in the buffer's order, then makes
+one update of the whole buffer, ``flat -= lr * grad``. Batches update in
+that fixed order, so a fixed seed reproduces a run bit for bit.
 A step whose logits or loss are not finite stops training with a
-RuntimeError naming the epoch, the batch and the learning rate.
+:class:`TrainingDiverged` naming the epoch, the batch and the learning rate,
+and carrying the history of the epochs that completed before it.
 Fine-tuning a compressed model is the same loop: both low-rank factors
 train freely.
 """
@@ -21,14 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .layers import backward_list
 from .model import (
     SkeletonModel,
     _score_features,
-    backward_features,
     cross_entropy,
     forward,
     forward_features_tape,
-    named_params,
+    packed_copy,
     sample_features,
 )
 
@@ -123,9 +127,13 @@ def _top1(logits, labels) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def _diverged(epoch, index, lr) -> RuntimeError:
-    return RuntimeError(
-        f"training diverged at epoch {epoch}, batch {index} (lr {lr})")
+class TrainingDiverged(RuntimeError):
+    """A non-finite training step; ``history`` holds the completed epochs."""
+
+    def __init__(self, epoch, index, lr, records):
+        super().__init__(
+            f"training diverged at epoch {epoch}, batch {index} (lr {lr})")
+        self.history = TrainHistory(records=tuple(records))
 
 
 def train(model: SkeletonModel, train_samples, test_samples,
@@ -144,8 +152,7 @@ def train(model: SkeletonModel, train_samples, test_samples,
     test_feats = [sample_features(s.coords, mcfg) for s in test_samples]
     test_labels = np.array([s.label for s in test_samples])
 
-    trained = model.copy()
-    params = named_params(trained)
+    trained, flat = packed_copy(model)
     n = len(feats)
     records = []
     for epoch in range(cfg.epochs):
@@ -161,20 +168,19 @@ def train(model: SkeletonModel, train_samples, test_samples,
                 logits, tape = forward_features_tape(
                     trained, np.stack([feats[i] for i in batch]))
                 if not np.isfinite(logits).all():
-                    raise _diverged(epoch, index, lr)
+                    raise TrainingDiverged(epoch, index, lr, records)
                 loss, grad_logits = cross_entropy(logits, labels[batch])
                 if not math.isfinite(loss):
-                    raise _diverged(epoch, index, lr)
+                    raise TrainingDiverged(epoch, index, lr, records)
                 loss_sum += loss * batch.size
-                grads = backward_features(trained, tape, grad_logits)
-                for name, value in params.items():
-                    value -= lr * grads[name]
+                _, grads = backward_list(tape, grad_logits)
+                flat -= lr * np.concatenate(grads, axis=None)
             try:
                 top1 = _top1(_score_features(trained, test_feats), test_labels)
             except ValueError as exc:
                 # The test set was validated above, so only non-finite test
                 # logits, from the last batch's update, can land here.
-                raise _diverged(epoch, index, lr) from exc
+                raise TrainingDiverged(epoch, index, lr, records) from exc
         records.append(EpochRecord(
             epoch=epoch,
             lr=lr,

@@ -16,10 +16,11 @@ every leading row. Each op computes its output in one place, which also
 returns a single-use :class:`GradTape` whose backward function closes over
 the activations it needs; ``forward`` is that output with the tape dropped.
 A backward function lists its parameter gradients in ``params()`` order;
-:func:`backward`, for every op up to the whole model, checks ``grad_out``
-and names that list. Gradients are exact analytic adjoints. Inputs are
-validated where they enter (the constructors here, and the model's sample
-features), not on every internal matmul.
+:func:`backward_list`, for every op up to the whole model, checks
+``grad_out`` and returns that list; :func:`backward` names it. Gradients
+are exact analytic adjoints. Inputs are validated where they enter (the
+constructors here, and the model's sample features), not on every internal
+matmul.
 """
 
 from __future__ import annotations
@@ -47,13 +48,8 @@ class GradTape:
     used: bool = field(default=False)
 
 
-def backward(tape: GradTape, grad_out):
-    """Run the backward pass recorded on ``tape``.
-
-    Returns ``(grad_in, grad_params)`` where ``grad_params`` maps the names
-    of ``tape.params()`` to gradients (empty for parameter-free ops).
-    ``grad_in`` is a tuple for multi-input ops such as attention.
-    """
+def backward_list(tape: GradTape, grad_out):
+    """``(grad_in, [grads in params() order])`` from ``tape``, used once."""
     if tape.used:
         raise RuntimeError("gradient tape already consumed")
     tape.used = True
@@ -62,7 +58,17 @@ def backward(tape: GradTape, grad_out):
             f"grad_out shape {grad_out.shape} does not match forward output "
             f"{tape.out_shape}"
         )
-    grad_in, grads = tape.fn(grad_out)
+    return tape.fn(grad_out)
+
+
+def backward(tape: GradTape, grad_out):
+    """:func:`backward_list` with the gradients named.
+
+    Returns ``(grad_in, grad_params)`` where ``grad_params`` maps the names
+    of ``tape.params()`` to gradients (empty for parameter-free ops).
+    ``grad_in`` is a tuple for multi-input ops such as attention.
+    """
+    grad_in, grads = backward_list(tape, grad_out)
     return grad_in, dict(zip(tape.params(), grads, strict=True))
 
 
@@ -118,9 +124,9 @@ class _Linear:
     def c_out(self) -> int:
         return self.factors[-1].shape[1]
 
-    def copy(self):
-        return type(self)(*(f.copy() for f in self.factors),
-                          None if self.bias is None else self.bias.copy())
+    def copy(self, take=np.copy):
+        return type(self)(*(take(f) for f in self.factors),
+                          None if self.bias is None else take(self.bias))
 
     def forward(self, x) -> np.ndarray:
         return self.forward_tape(x)[0]
@@ -190,13 +196,27 @@ class LowRankLinear(_Linear):
         return self.w1.shape[1]
 
 
+def _row_max(a):
+    """``a.max(axis=-1, keepdims=True)`` as a pairwise ``np.maximum`` tree
+    over column halves, folding an odd last column into the first. Max is
+    exact, so the bits are the same; on short rows this beats numpy's
+    reduction over a contiguous last axis."""
+    while a.shape[-1] > 1:
+        w, h = a.shape[-1], a.shape[-1] // 2
+        top = np.maximum(a[..., :h], a[..., h:2 * h])
+        if w % 2:
+            np.maximum(top[..., :1], a[..., w - 1:], out=top[..., :1])
+        a = top
+    return a
+
+
 def softmax_rows(a) -> np.ndarray:
     """Softmax over the last axis, stabilized by subtracting each row's
     maximum."""
     # In place after the first subtraction: a stacked batch's B x H x T x T
     # scores pass glibc's mmap threshold, so each further temporary would
     # be a fresh mapping whose pages fault in on every call.
-    e = a - a.max(axis=-1, keepdims=True)
+    e = a - _row_max(a)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -369,9 +389,9 @@ class MhsaBlock:
                            y.shape, self.params)
 
     def _backward(self, layout, chain_grad, attention_tape, wo_tape, grad_out):
-        grad_heads, wo_grads = backward(wo_tape, grad_out)
+        grad_heads, wo_grads = backward_list(wo_tape, grad_out)
         n = self.n_heads
-        grad_qkv, _ = backward(attention_tape, _split_heads(grad_heads, n))
+        grad_qkv, _ = backward_list(attention_tape, _split_heads(grad_heads, n))
         # The chain's gradients: first factor, then the second factor and the
         # bias when any projection has one.
         grad_in, (first, *rest) = chain_grad(
@@ -383,8 +403,7 @@ class MhsaBlock:
                 grads.append(rest[0][cols, outs])
             if p.bias is not None:
                 grads.append(rest[-1][outs])
-        grads += wo_grads.values()
-        return grad_in, grads
+        return grad_in, grads + wo_grads
 
     def params(self) -> dict:
         return {

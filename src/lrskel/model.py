@@ -17,7 +17,7 @@ import numpy as np
 
 from . import container
 from .layers import (AttentionHead, DenseLinear, GradTape, LowRankLinear,
-                     MhsaBlock, backward)
+                     MhsaBlock, backward, backward_list)
 from .linalg import as_matrix
 
 # Layer group tags used by compression plans.
@@ -166,6 +166,16 @@ def named_params(model: SkeletonModel) -> dict:
     return out
 
 
+def packed_copy(model: SkeletonModel):
+    """``(copy, flat)``: a copy of ``model`` whose parameters are C-contiguous
+    views, in ``named_params`` order, into the one float64 buffer ``flat``."""
+    arrays = list(named_params(model).values())
+    flat = np.concatenate(arrays, axis=None)
+    views = iter(np.split(flat, np.cumsum([a.size for a in arrays[:-1]])))
+    return map_layers(model, lambda name, layer, group: layer.copy(
+        lambda a: next(views).reshape(a.shape))), flat
+
+
 def sample_features(coords, cfg: ModelConfig) -> np.ndarray:
     """Flatten a T x J x 3 coordinate array to the T x 3J feature matrix."""
     coords = np.asarray(coords, dtype=np.float64)
@@ -197,19 +207,19 @@ def _features(model: SkeletonModel, x):
     logits, head_tape = model.head.forward_tape(pooled)
 
     def grad(grad_logits):
-        grad_pooled, head_grads = backward(
+        grad_pooled, head_grads = backward_list(
             head_tape, grad_logits.reshape(head_tape.out_shape))
         grad_x = np.repeat(grad_pooled / frames, frames, axis=-2)
         parts = [head_grads]
         for tape in reversed(block_tapes):
-            grad_block, block_grads = backward(tape, grad_x)
+            grad_block, block_grads = backward_list(tape, grad_x)
             parts.append(block_grads)
             grad_x = grad_x + grad_block
-        grad_x, embed_grads = backward(embed_tape, grad_x)
+        grad_x, embed_grads = backward_list(embed_tape, grad_x)
         parts.append(embed_grads)
         # Every layer and block lists its gradients in its params() order,
         # so the parts, read from the embedding up, line up with named_params.
-        return grad_x, [g for part in reversed(parts) for g in part.values()]
+        return grad_x, [g for part in reversed(parts) for g in part]
 
     logits = logits.reshape(-1, model.config.classes)
     return logits, GradTape(grad, logits.shape, partial(named_params, model))

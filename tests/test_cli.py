@@ -258,6 +258,44 @@ def test_train_divergence_is_runtime_error(tmp_path, capsys):
     assert not weights.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_keeps_the_completed_epochs_history(tmp_path, capsys):
+    data = tmp_path / "data"
+    main(["gen", "--out", str(data)] + SMALL_GEN)
+    weights, history = tmp_path / "m.lrts", tmp_path / "h.csv"
+    # A two-epoch warm-up: epoch 0 runs at lr 50 and completes, epoch 1
+    # runs at lr 100 and diverges.
+    code = main(["train", str(data), "--out", str(weights), "--history",
+                 str(history)] + SMALL_MODEL
+                + ["--epochs", "4", "--lr", "100", "--warmup", "2",
+                   "--milestones", "", "--batch", "8"])
+    err = capsys.readouterr().err
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: training diverged at epoch 1,")
+    assert "(lr 100.0)" in errors[0]
+    lines = history.read_text().splitlines()
+    assert lines[0] == "epoch,lr,train_loss,test_top1"
+    assert len(lines) == 2
+    assert lines[1].startswith("0,50.0,")
+    assert not weights.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_in_the_first_epoch_writes_a_header_only_history(tmp_path):
+    data = tmp_path / "data"
+    main(["gen", "--out", str(data)] + SMALL_GEN)
+    weights = tmp_path / "m.lrts"
+    code = main(["train", str(data), "--out", str(weights)] + SMALL_MODEL
+                + ["--epochs", "2", "--lr", "1e300", "--milestones", "",
+                   "--batch", "8"])
+    assert code == 1
+    history = tmp_path / "m.lrts.history.csv"
+    assert history.read_text() == "epoch,lr,train_loss,test_top1\n"
+    assert not weights.exists()
+
+
 def test_compress_identity_plan_keeps_payload(workspace):
     tmp_path, data, model = workspace
     out = tmp_path / "same.lrts"

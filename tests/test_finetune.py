@@ -12,7 +12,11 @@ from lrskel.finetune import (
     lr_at_epoch,
     train,
 )
-from lrskel.model import ModelConfig, build_model, forward, named_params
+from lrskel.layers import DenseLinear, LowRankLinear
+from lrskel.model import (ModelConfig, backward_features, build_model,
+                          cross_entropy, forward, forward_features_tape,
+                          map_layers, named_layers, named_params,
+                          sample_features)
 
 SCHEDULE_105 = TrainConfig(base_lr=0.0025, epochs=105, batch_size=64,
                              decay_factor=0.1, milestones=(5, 25, 45, 65, 85))
@@ -210,6 +214,78 @@ def test_training_learns_small_task():
         TrainConfig(base_lr=0.1, epochs=10, batch_size=8, seed=0))
     assert history.records[-1].test_top1 > evaluate(model, te)
     assert history.records[-1].test_top1 >= 0.9
+
+
+def mixed_setup():
+    """``small_setup`` with some projections low-rank, one of them without
+    a bias, and random biases everywhere else."""
+    model, tr, te = small_setup()
+    rng = np.random.default_rng(11)
+    # Low-rank layer name -> whether it has a bias.
+    lowrank = {"blocks.0.heads.0.wq": True, "blocks.0.heads.1.wv": True,
+               "blocks.0.wo": True, "blocks.0.heads.1.wk": False}
+
+    def swap(name, layer, group):
+        if name not in lowrank:
+            return DenseLinear(layer.weight, rng.normal(size=layer.c_out))
+        bias = rng.normal(size=layer.c_out) if lowrank[name] else None
+        return LowRankLinear(rng.normal(size=(layer.c_in, 1)),
+                             rng.normal(size=(1, layer.c_out)), bias)
+
+    return map_layers(model, swap), tr, te
+
+
+def test_buffered_update_is_bit_identical_to_per_array_sgd():
+    model, tr, te = mixed_setup()
+    cfg = TrainConfig(base_lr=0.05, epochs=2, batch_size=4, seed=3)
+    trained, _ = train(model, tr, te, cfg)
+
+    ref = model.copy()
+    params = named_params(ref)
+    feats = [sample_features(s.coords, ref.config) for s in tr]
+    labels = np.array([s.label for s in tr])
+    for epoch in range(cfg.epochs):
+        lr = lr_at_epoch(cfg, epoch)
+        order = np.random.default_rng(cfg.seed + epoch).permutation(len(tr))
+        for start in range(0, len(tr), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            logits, tape = forward_features_tape(
+                ref, np.stack([feats[i] for i in batch]))
+            _, grad_logits = cross_entropy(logits, labels[batch])
+            grads = backward_features(ref, tape, grad_logits)
+            for name, value in params.items():
+                value -= lr * grads[name]
+
+    assert {layer.kind for _, layer, _ in named_layers(model)} == {"dense", "lowrank"}
+    got = named_params(trained)
+    assert list(got) == list(params)
+    for name, value in params.items():
+        assert got[name].tobytes() == value.tobytes(), name
+
+
+def test_trained_parameters_are_one_buffer_apart_from_the_input():
+    model, tr, te = mixed_setup()
+    before = {n: a.copy() for n, a in named_params(model).items()}
+    trained, _ = train(model, tr, te,
+                       TrainConfig(base_lr=0.05, epochs=1, batch_size=4))
+    for name, arr in named_params(model).items():
+        assert np.array_equal(arr, before[name])
+    params = named_params(trained)
+    got = list(params.values())
+    for arr in named_params(model).values():
+        assert not any(np.shares_memory(arr, other) for other in got)
+    # One C-contiguous segment per parameter, end to end in named_params order.
+    start = got[0].__array_interface__["data"][0]
+    for arr in got:
+        assert arr.flags.c_contiguous
+        assert arr.__array_interface__["data"][0] == start
+        start += arr.nbytes
+    # The layers run on those segments: a dense layer, and a low-rank factor
+    # inside the block's stacked chain.
+    for name in ("head.weight", "blocks.0.heads.0.wq.w1"):
+        out = forward(trained, te[:2])
+        params[name][0, 0] += 1.0
+        assert not np.array_equal(forward(trained, te[:2]), out), name
 
 
 def test_train_rejects_mismatched_shapes():
