@@ -143,6 +143,12 @@ def _usage_errors():
         raise UsageError(str(exc)) from exc
 
 
+def _check_out_dirs(*paths):
+    for folder in (os.path.dirname(path) for path in paths if path):
+        if folder and not os.path.isdir(folder):
+            raise ValueError(f"output directory {folder} does not exist")
+
+
 def _load_splits(data_dir):
     train_path = os.path.join(data_dir, TRAIN_FILE)
     test_path = os.path.join(data_dir, TEST_FILE)
@@ -189,6 +195,7 @@ def cmd_train(args):
         # that the model settings are checked before any file is read.
         mcfg = ModelConfig(joints=1, frames=1, classes=1, seed=tcfg.seed,
                            **_fields(settings, MODEL_DEFAULTS))
+    _check_out_dirs(args.out, args.history)
     train_samples, test_samples = _load_splits(args.data)
     if not train_samples or not test_samples:
         raise ValueError("dataset is empty")
@@ -204,6 +211,7 @@ def cmd_compress(args):
         plan = parse_plan(settings["plan"])
     except PlanParseError as exc:
         raise UsageError(f"bad --plan: {exc}") from exc
+    _check_out_dirs(args.out, args.report)
     model = load_model(args.weights)
     compressed, report = compress_model(model, plan)
     save_model(args.out, compressed)
@@ -218,6 +226,7 @@ def cmd_compress(args):
 
 def cmd_sweep(args):
     _resolve(args, {})
+    _check_out_dirs(args.out)
     model = load_model(args.weights)
     test_samples = load_dataset(os.path.join(args.data, TEST_FILE))
     grid = []
@@ -246,6 +255,7 @@ def cmd_finetune(args):
     settings = _resolve(args, FINETUNE_DEFAULTS)
     with _usage_errors():
         tcfg = TrainConfig(**_fields(settings, FINETUNE_DEFAULTS))
+    _check_out_dirs(args.out, args.history)
     model = load_model(args.weights)
     return _fit(args, model, *_load_splits(args.data), tcfg)
 

@@ -3,17 +3,19 @@
 A plan assigns a rank (or "full") to each layer group; compression replaces
 every dense layer of a ranked group with the cascaded factor pair from its
 truncated SVD, leaves everything else byte-identical, and accounts for the
-parameter, FLOP, and reconstruction-error cost of the whole model.
+parameter, FLOP, and reconstruction-error cost of the whole model. One plan
+or a sweep's grid, each ranked layer is decomposed once and truncated once
+per rank.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .container import csv_text
+from .finetune import _top1_on
 from .layers import LowRankLinear
 from .linalg import frobenius, reconstruction_error, svd, truncate_to_factors
 from .model import (GROUP_EMBED, GROUP_HEAD, GROUP_K, GROUP_O, GROUP_Q, GROUP_V,
@@ -130,19 +132,12 @@ class CompressionReport:
     reference_frames: int
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_HEADER.split(","))
-        for row in self.layers:
-            writer.writerow([
-                row.name, row.group, row.rows, row.cols,
-                "full" if row.rank is None else row.rank,
-                row.params_before, row.params_after,
-                repr(row.recon_fro), repr(row.recon_rel),
-            ])
-        writer.writerow(["TOTAL", "", "", "", "",
-                         self.params_before, self.params_after, "", ""])
-        return buf.getvalue()
+        rows = [(r.name, r.group, r.rows, r.cols,
+                 "full" if r.rank is None else r.rank, r.params_before,
+                 r.params_after, r.recon_fro, r.recon_rel) for r in self.layers]
+        rows.append(("TOTAL", "", "", "", "", self.params_before,
+                     self.params_after, "", ""))
+        return csv_text(REPORT_HEADER, rows)
 
 
 def compress_model(model: SkeletonModel, plan: CompressionPlan):
@@ -152,7 +147,8 @@ def compress_model(model: SkeletonModel, plan: CompressionPlan):
     Every ranked dense layer becomes a LowRankLinear built from its
     truncated SVD, with the bias copied unchanged.
     """
-    return _compress(model, plan)
+    _check_plan(model, plan)
+    return _compress(model, plan, _truncations(model, [plan]))
 
 
 def _check_plan(model: SkeletonModel, plan: CompressionPlan) -> None:
@@ -174,46 +170,42 @@ def _check_plan(model: SkeletonModel, plan: CompressionPlan) -> None:
             )
 
 
-def _compress(model: SkeletonModel, plan: CompressionPlan, decomps=None):
-    """``compress_model``; given a ``decomps`` dict, each ranked layer's SVD
-    is taken from it by layer name, or computed and stored there.
+def _truncations(model: SkeletonModel, plans) -> dict:
+    """``{(name, k): (LowRankLinear, recon_fro, recon_rel)}`` for each layer
+    and rank the checked ``plans`` ask for. Each ranked layer gets one SVD,
+    truncated once per rank and dropped before the next layer's SVD."""
+    out = {}
+    for name, layer, group in named_layers(model):
+        ranks = {plan.rank_for(group) for plan in plans} - {None}
+        if not ranks:
+            continue
+        decomp, norm = svd(layer.weight), frobenius(layer.weight)
+        for k in ranks:
+            factors = truncate_to_factors(decomp, k)
+            recon = reconstruction_error(decomp, k)
+            bias = None if layer.bias is None else layer.bias.copy()
+            out[name, k] = (LowRankLinear(factors.w1, factors.w2, bias),
+                            recon, recon / norm if norm > 0.0 else 0.0)
+        del decomp  # else it stays alive through the next layer's SVD
+    return out
 
-    Without one, each SVD is dropped once its layer is built, so a single
-    compression holds one decomposition at a time.
-    """
-    _check_plan(model, plan)
+
+def _compress(model: SkeletonModel, plan: CompressionPlan, truncations):
+    """Assemble ``plan``'s compressed model and its report, taking each
+    ranked layer from ``truncations`` (see ``_truncations``) and copying
+    every other one."""
     rows = []
 
     def visit(name, layer, group):
         k = plan.rank_for(group)
-        before = layer.param_count()
-        if k is None:
-            rows.append(LayerReport(
-                name=name, group=group, rows=layer.c_in, cols=layer.c_out,
-                rank=None, params_before=before, params_after=before,
-                recon_fro=0.0, recon_rel=0.0,
-            ))
-            return layer.copy()
-        if decomps is None:
-            decomp = svd(layer.weight)
-        else:
-            decomp = decomps.get(name)
-            if decomp is None:
-                full = svd(layer.weight)  # truncation reads u[:, :sigma.size] only
-                decomp = decomps[name] = replace(full, u=full.u[:, :full.sigma.size].copy())
-        factors = truncate_to_factors(decomp, k)
-        recon = reconstruction_error(decomp, k)
-        norm = frobenius(layer.weight)
-        replacement = LowRankLinear(
-            factors.w1, factors.w2,
-            None if layer.bias is None else layer.bias.copy(),
-        )
+        new, recon_fro, recon_rel = (
+            (layer.copy(), 0.0, 0.0) if k is None else truncations[name, k])
         rows.append(LayerReport(
-            name=name, group=group, rows=layer.c_in, cols=layer.c_out,
-            rank=k, params_before=before, params_after=replacement.param_count(),
-            recon_fro=recon, recon_rel=recon / norm if norm > 0.0 else 0.0,
+            name=name, group=group, rows=layer.c_in, cols=layer.c_out, rank=k,
+            params_before=layer.param_count(), params_after=new.param_count(),
+            recon_fro=recon_fro, recon_rel=recon_rel,
         ))
-        return replacement
+        return new
 
     compressed = map_layers(model, visit)
     frames = model.config.frames
@@ -239,34 +231,23 @@ def rank_sweep(model: SkeletonModel, test_samples, grid) -> list:
     """Compress ``model`` under each plan and score raw (unfinetuned)
     accuracy; rows come back in grid order.
 
-    Every plan is checked against the model before any work starts. Each
-    ranked layer is decomposed once per sweep, on first use, and that one
-    SVD is truncated for every plan that ranks the layer.
+    Every plan and every test clip is checked before any SVD runs. Each
+    ranked layer is then decomposed once per sweep, and that one SVD is
+    truncated once per rank the grid gives its group. Plans that share a
+    (layer, rank) share its truncated layer.
     """
-    from .finetune import evaluate
-
     if not grid:
         raise ValueError("empty plan grid")
-    if not test_samples:
-        raise ValueError("empty evaluation set")
     for plan in grid:
         _check_plan(model, plan)
-    decomps = {}
+    top1 = _top1_on(test_samples, model.config)
+    truncations = _truncations(model, grid)
     rows = []
     for plan in grid:
-        compressed, report = _compress(model, plan, decomps)
-        rows.append(SweepRow(
-            plan=plan.render(),
-            params=report.params_after,
-            top1=evaluate(compressed, test_samples),
-        ))
+        compressed, report = _compress(model, plan, truncations)
+        rows.append(SweepRow(plan.render(), report.params_after, top1(compressed)))
     return rows
 
 
 def sweep_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_HEADER.split(","))
-    for row in rows:
-        writer.writerow([row.plan, row.params, repr(row.top1)])
-    return buf.getvalue()
+    return csv_text(SWEEP_HEADER, ((r.plan, r.params, r.top1) for r in rows))

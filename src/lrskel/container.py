@@ -16,6 +16,8 @@ crashing or guessing. Writers replace their target in one step (see
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import math
 import os
 import struct
@@ -94,6 +96,16 @@ def write_atomic(path, data) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def csv_text(header: str, rows) -> str:
+    """The comma-separated ``header`` line, then one line per row; csv
+    writes each number as its shortest round-trip text, numpy's too."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _check_header(r: _Reader, magic: bytes) -> None:

@@ -11,13 +11,12 @@ A step whose logits or loss are not finite stops training with a
 :class:`TrainingDiverged` naming the epoch, the batch and the learning rate,
 and carrying the history of the epochs that completed before it.
 Fine-tuning a compressed model is the same loop: both low-rank factors
-train freely.
+train freely. Top-1, for ``evaluate``, each epoch and ``rank_sweep``, is
+scored by one function that validates its clips once.
 """
 
 from __future__ import annotations
 
-import io
-import csv
 import math
 import numbers
 from bisect import bisect_right
@@ -25,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .container import csv_text
 from .layers import backward_list
 from .model import (
     SkeletonModel,
     _score_features,
     cross_entropy,
-    forward,
     forward_features_tape,
     packed_copy,
     sample_features,
@@ -107,24 +106,25 @@ class TrainHistory:
         return max(r.test_top1 for r in self.records)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(HISTORY_HEADER.split(","))
-        for r in self.records:
-            writer.writerow([r.epoch, repr(r.lr), repr(r.train_loss),
-                             repr(r.test_top1)])
-        return buf.getvalue()
+        return csv_text(HISTORY_HEADER, (
+            (r.epoch, r.lr, r.train_loss, r.test_top1) for r in self.records))
 
 
 def evaluate(model: SkeletonModel, samples) -> float:
     """Top-1 accuracy; argmax ties resolve to the lowest class index."""
+    return _top1_on(samples, model.config)(model)
+
+
+def _top1_on(samples, cfg):
+    """``model -> top-1`` on ``samples``, whose clips are checked once, here.
+    Each call stacks the clips one chunk at a time (a full stack would only
+    add the set's size to peak memory); a non-finite logit is a ValueError."""
     if not samples:
         raise ValueError("empty evaluation set")
-    return _top1(forward(model, samples), np.array([s.label for s in samples]))
-
-
-def _top1(logits, labels) -> float:
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
+    feats = [sample_features(s.coords, cfg) for s in samples]
+    labels = np.array([s.label for s in samples])
+    return lambda model: float(np.mean(
+        np.argmax(_score_features(model, feats), axis=1) == labels))
 
 
 class TrainingDiverged(RuntimeError):
@@ -146,11 +146,7 @@ def train(model: SkeletonModel, train_samples, test_samples,
     labels = np.array([s.label for s in train_samples], dtype=np.int64)
     if labels.min() < 0 or labels.max() >= mcfg.classes:
         raise ValueError(f"label out of range [0, {mcfg.classes})")
-    # Validated once; every epoch scores these views of the clips, stacking
-    # one chunk at a time as ``forward`` does (a full stack would only add
-    # the test set's size to peak memory).
-    test_feats = [sample_features(s.coords, mcfg) for s in test_samples]
-    test_labels = np.array([s.label for s in test_samples])
+    test_top1 = _top1_on(test_samples, mcfg)
 
     trained, flat = packed_copy(model)
     n = len(feats)
@@ -176,7 +172,7 @@ def train(model: SkeletonModel, train_samples, test_samples,
                 _, grads = backward_list(tape, grad_logits)
                 flat -= lr * np.concatenate(grads, axis=None)
             try:
-                top1 = _top1(_score_features(trained, test_feats), test_labels)
+                top1 = test_top1(trained)
             except ValueError as exc:
                 # The test set was validated above, so only non-finite test
                 # logits, from the last batch's update, can land here.

@@ -296,6 +296,32 @@ def test_divergence_in_the_first_epoch_writes_a_header_only_history(tmp_path):
     assert not weights.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--out"), ("train", "--history"), ("finetune", "--out"),
+    ("finetune", "--history"), ("compress", "--out"), ("compress", "--report"),
+    ("sweep", "--out"),
+])
+def test_missing_output_directory_fails_before_any_work(workspace, capsys,
+                                                         command, flag):
+    tmp_path, data, model = workspace
+    grid = tmp_path / "grid.txt"
+    grid.write_text("full\nv=1\n")
+    missing = tmp_path / "nodir"
+    outputs = {"--out": str(tmp_path / "out"), flag: str(missing / "file")}
+    # train is given a missing data directory too: the output check comes first.
+    inputs = {"train": [str(tmp_path / "no-data")] + SMALL_MODEL + SMALL_TRAIN,
+              "finetune": [str(model), str(data)] + SMALL_TRAIN,
+              "compress": [str(model), "--plan", "v=1"],
+              "sweep": [str(model), str(data), "--grid", str(grid)]}[command]
+    files = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    code = main([command, *inputs, *(a for pair in outputs.items() for a in pair)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [f"error: output directory {missing} does not exist"]
+    assert sorted(tmp_path.rglob("*")) == files
+
+
 def test_compress_identity_plan_keeps_payload(workspace):
     tmp_path, data, model = workspace
     out = tmp_path / "same.lrts"

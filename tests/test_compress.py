@@ -303,19 +303,38 @@ def test_rank_sweep_rows_equal_per_plan_compression(trained_toy):
     assert rank_sweep(m, test, grid) == per_plan_rows(m, test, grid)
 
 
-def test_sweep_cache_keeps_only_the_u_columns_truncation_reads():
-    m = toy_model()
-    decomps = {}
-    compress._compress(m, parse_plan("q=1,k=1,v=1,o=1,embed=1,head=1"), decomps)
-    shapes = {(layer.c_in, layer.c_out) for _, layer, _ in named_layers(m)}
-    assert any(r > c for r, c in shapes) and any(r < c for r, c in shapes)
-    for name, layer, _ in named_layers(m):
-        cached, full = decomps[name], svd(layer.weight)
-        r = min(layer.c_in, layer.c_out)
-        assert cached.u.shape == (layer.c_in, r)
-        assert cached.u.tobytes() == full.u[:, :r].tobytes()
-        assert cached.sigma.tobytes() == full.sigma.tobytes()
-        assert cached.vt.tobytes() == full.vt.tobytes()
+def test_rank_sweep_truncates_each_layer_once_per_rank(trained_toy, monkeypatch):
+    m, test = trained_toy
+    grid = [parse_plan(t) for t in SWEEP_GRID]
+    seen, real = [], compress.truncate_to_factors
+
+    def counted(s, k):
+        seen.append((s, k))  # holds each decomposition, so ids stay distinct
+        return real(s, k)
+
+    monkeypatch.setattr(compress, "truncate_to_factors", counted)
+    rank_sweep(m, test, grid)
+    pairs = [(id(s), k) for s, k in seen]
+    assert len(set(pairs)) == len(pairs)
+    assert len(pairs) == sum(len({plan.rank_for(group) for plan in grid} - {None})
+                             for _, _, group in named_layers(m))
+
+
+def test_rank_sweep_validates_each_clip_once(trained_toy, monkeypatch):
+    import lrskel.finetune
+    import lrskel.model
+
+    m, test = trained_toy
+    calls, real = [], lrskel.model.sample_features
+
+    def counted(coords, cfg):
+        calls.append(1)
+        return real(coords, cfg)
+
+    monkeypatch.setattr(lrskel.model, "sample_features", counted)
+    monkeypatch.setattr(lrskel.finetune, "sample_features", counted)
+    rank_sweep(m, test, [parse_plan(t) for t in ("full", "v=1", "q=2,k=2")])
+    assert len(calls) == len(test)
 
 
 def test_rank_sweep_decomposes_afresh_on_every_call(trained_toy):
@@ -341,6 +360,8 @@ def test_rank_sweep_checks_every_plan_before_any_svd(trained_toy, monkeypatch):
         (m, test, ["q=1", "v=9999"], "rank 9999 exceeds"),
         (lowrank, test, ["q=1", "v=1"], "already low-rank"),
         (m, [], ["q=1"], "empty evaluation set"),
+        (m, test[:3] + [SkeletonSample(np.full((8, 3, 3), np.nan), 0)], ["q=1"],
+         "non-finite"),
     )
     for model, samples, texts, message in cases:
         calls.clear()

@@ -185,6 +185,15 @@ def test_train_validates_each_clip_once(monkeypatch):
     assert len(calls) == len(tr) + len(te)
 
 
+def test_history_csv_writes_numbers_not_their_reprs():
+    model, tr, te = small_setup()
+    cfg = TrainConfig(base_lr=np.float64(0.1), epochs=1, batch_size=4)
+    _, history = train(model, tr, te, cfg)
+    r = history.records[0]
+    assert history.to_csv().splitlines()[1].split(",") == [
+        "0", "0.1", repr(float(r.train_loss)), repr(float(r.test_top1))]
+
+
 def test_training_does_not_mutate_input_model():
     model, tr, te = small_setup()
     before = {n: a.copy() for n, a in named_params(model).items()}
