@@ -144,9 +144,12 @@ def _usage_errors():
 
 
 def _check_out_dirs(*paths):
-    for folder in (os.path.dirname(path) for path in paths if path):
+    for path in filter(None, paths):
+        folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise ValueError(f"output directory {folder} does not exist")
+        if os.path.isdir(path):
+            raise ValueError(f"output path {path} is a directory")
 
 
 def _load_splits(data_dir):
@@ -211,11 +214,11 @@ def cmd_compress(args):
         plan = parse_plan(settings["plan"])
     except PlanParseError as exc:
         raise UsageError(f"bad --plan: {exc}") from exc
-    _check_out_dirs(args.out, args.report)
+    report_path = args.report or args.out + ".report.csv"
+    _check_out_dirs(args.out, report_path)
     model = load_model(args.weights)
     compressed, report = compress_model(model, plan)
     save_model(args.out, compressed)
-    report_path = args.report or args.out + ".report.csv"
     write_atomic(report_path, report.to_csv().encode())
     print(f"params: {report.params_before} -> {report.params_after}")
     print(f"flops (T={report.reference_frames}): "

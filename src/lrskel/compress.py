@@ -17,7 +17,8 @@ import numpy as np
 from .container import csv_text
 from .finetune import _top1_on
 from .layers import LowRankLinear
-from .linalg import frobenius, reconstruction_error, svd, truncate_to_factors
+from .linalg import (SvdConvergenceError, frobenius, reconstruction_error, svds,
+                     truncate_to_factors)
 from .model import (GROUP_EMBED, GROUP_HEAD, GROUP_K, GROUP_O, GROUP_Q, GROUP_V,
                     SkeletonModel, count_flops, count_params, map_layers,
                     named_layers)
@@ -173,13 +174,18 @@ def _check_plan(model: SkeletonModel, plan: CompressionPlan) -> None:
 def _truncations(model: SkeletonModel, plans) -> dict:
     """``{(name, k): (LowRankLinear, recon_fro, recon_rel)}`` for each layer
     and rank the checked ``plans`` ask for. Each ranked layer gets one SVD,
-    truncated once per rank and dropped before the next layer's SVD."""
+    from one ``svds`` pass over them all, truncated once per rank and
+    dropped before the next layer's SVD is taken."""
+    ranked = [(name, layer, ranks) for name, layer, group in named_layers(model)
+              if (ranks := {plan.rank_for(group) for plan in plans} - {None})]
+    decomps = svds([layer.weight for _, layer, _ in ranked])
     out = {}
-    for name, layer, group in named_layers(model):
-        ranks = {plan.rank_for(group) for plan in plans} - {None}
-        if not ranks:
-            continue
-        decomp, norm = svd(layer.weight), frobenius(layer.weight)
+    for name, layer, ranks in ranked:
+        try:
+            decomp = next(decomps)
+        except SvdConvergenceError as exc:
+            raise SvdConvergenceError(f"{ranked[exc.index][0]}: {exc}") from None
+        norm = frobenius(layer.weight)
         for k in ranks:
             factors = truncate_to_factors(decomp, k)
             recon = reconstruction_error(decomp, k)

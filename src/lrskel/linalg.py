@@ -8,9 +8,11 @@ the closed-form truncation error.
 The SVD reduces a tall input to its square QR triangle first (Drmac &
 Veselic 2008), then orthogonalises columns in round-robin order (Brent &
 Luk 1985): each sweep is n-1 steps (n when n is odd); each step tests up
-to n/2 disjoint column pairs at once and rotates the coupled ones in two
-arrays, the columns and the accumulated V. numpy's QR is the only LAPACK
-routine it uses; ``np.linalg.svd`` stays an independent test oracle.
+to n/2 disjoint column pairs of every matrix in a stack of one shape at
+once and rotates the coupled ones in the columns and the accumulated V.
+``svds`` runs a list of matrices this way, one stack per shape, and ``svd``
+one matrix. numpy's QR is the only LAPACK routine it uses;
+``np.linalg.svd`` stays an independent test oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +29,11 @@ MAX_SWEEPS = 100
 
 
 class SvdConvergenceError(RuntimeError):
-    """Jacobi sweeps hit the iteration cap before reaching tolerance."""
+    """Jacobi sweeps hit the iteration cap; ``index`` is the input's place."""
+
+    def __init__(self, message, index=0):
+        super().__init__(message)
+        self.index = index
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -84,58 +90,93 @@ def svd(a) -> SvdResult:
     SvdConvergenceError
         If the sweep cap is reached; the message reports the worst residual.
     """
-    a = as_matrix(a, "a")
-    m, n = a.shape
-    if m >= n:
-        u, sigma, vt = _jacobi_svd(a)
-    else:
-        # Work on the transpose so columns outnumber rows never happens:
+    return next(svds([a]))  # one body: svd is svds of one matrix
+
+
+def svds(mats):
+    """Yield ``svd(a)`` for each matrix of ``mats``, in order, bit for bit.
+
+    Inputs of one shape (a wide one counts as its transpose) share one
+    stacked Jacobi run, started when the first of them is due and dropped
+    once the last is yielded. A convergence error names the failing matrix
+    of the stack with the lowest input index: its ``index`` in ``mats``.
+    """
+    mats = [as_matrix(a, "a") for a in mats]
+    tall = [a if a.shape[0] >= a.shape[1] else a.T for a in mats]
+    stacks = {}
+    for i, b in enumerate(tall):
+        if b.shape not in stacks:
+            ids = [j for j in range(i, len(tall)) if tall[j].shape == b.shape]
+            stacks[b.shape] = _square_stack(tall, ids)
+        yield _result(mats[i], b, *next(stacks[b.shape]))
+        if b.shape not in (c.shape for c in tall[i + 1:]):
+            del stacks[b.shape]
+
+
+def _square_stack(tall, ids):
+    """Run one Jacobi over the square cores of ``tall[i]``, i in ``ids`` (one
+    shape; a tall one's is its QR R, whose bits mode "r" keeps), then yield
+    each one's rotated columns and V in turn."""
+    n = tall[ids[0]].shape[1]
+    cols = np.empty((len(ids) * n, n))
+    for g, i in enumerate(ids):
+        b = tall[i]
+        cols[g * n:(g + 1) * n] = (np.linalg.qr(b, "r") if len(b) > n else b).T
+    v = _jacobi(cols, n, ids)
+    for g in range(len(ids)):
+        yield cols[g * n:(g + 1) * n], v[g * n:(g + 1) * n]
+
+
+def _result(a, b, cols, v):
+    """``svd(a)`` from the rotated columns and V of the core of ``b``, ``a``
+    or its transpose. A tall ``b`` = Q [R; 0] (complete Householder QR, made
+    here) has the singular values and right vectors of R, and left vectors
+    [Q_1 U_R | Q_2]: the trailing columns of Q already complete the basis."""
+    rows, n = b.shape
+    sigma = np.sqrt(np.einsum("ij,ij->i", cols, cols))
+    order = np.argsort(-sigma, kind="stable")  # ties keep the earlier index
+    sigma = sigma[order]
+    cols = cols[order]
+    vt = v[order]
+    u = np.zeros((n, n))
+    have = sigma > 0.0
+    u[:, have] = (cols[have] / sigma[have, None]).T
+    if not have.all():
+        _complete_basis(u, have)
+    if rows > n:
+        q, u_r = np.linalg.qr(b, mode="complete")[0], u
+        u = np.empty((rows, rows))
+        u[:, :n] = q[:, :n] @ u_r
+        u[:, n:] = q[:, n:]
+    if b is not a:
         # a.T = ub S vbt  =>  a = vbt.T S ub.T
-        ub, sigma, vbt = _jacobi_svd(a.T)
-        u = np.ascontiguousarray(vbt.T)
-        vt = np.ascontiguousarray(ub.T)
+        u, vt = np.ascontiguousarray(vt.T), np.ascontiguousarray(u.T)
     _apply_sign_convention(u, vt, sigma.size)
     return SvdResult(u=u, sigma=sigma, vt=vt)
 
 
-def _jacobi_svd(b):
-    """SVD of ``b`` with rows >= cols; returns (u full, sigma, vt full).
+def _jacobi(cols, n, ids):
+    """One-sided Jacobi on G square matrices at once; returns their V.
 
-    A tall ``b`` = Q [R; 0] (complete Householder QR) has the singular
-    values and right vectors of R, and left vectors [Q_1 U_R | Q_2]: the
-    trailing columns of Q already complete the basis.
+    Row g*n + i of the flat (G*n, n) ``cols``, and of V, is column i of
+    matrix g. A step gathers the pair rows of every live matrix as one
+    (G*P, 2, n) block to find the pairs not yet orthogonal to ``SVD_TOL``,
+    then rotates those, and only those, in both stores with one batched
+    2 x 2 matmul each. A matrix leaves the live set after a sweep without a
+    rotation, so each gets the bits of a run on its own.
     """
-    rows, cols = b.shape
-    if rows == cols:
-        return _jacobi_square(b)
-    q, r = np.linalg.qr(b, mode="complete")
-    u_r, sigma, vt = _jacobi_square(r[:cols])
-    u = np.empty((rows, rows))
-    u[:, :cols] = q[:, :cols] @ u_r
-    u[:, cols:] = q[:, cols:]
-    return u, sigma, vt
-
-
-def _jacobi_square(b):
-    """One-sided Jacobi on a square ``b``; returns (u, sigma, vt).
-
-    Two contiguous arrays hold the state: row i of ``cols`` is column i of
-    the rotated matrix and row i of ``v`` is column i of the accumulated V,
-    so rotating a column pair updates two rows of each. A step gathers only
-    ``cols`` rows to find the pairs not yet orthogonal to ``SVD_TOL``, then
-    rotates those pairs, and only those, in both arrays with one batched
-    2 x 2 matmul each. A sweep without any rotation ends the iteration.
-    """
-    n = b.shape[0]
-    cols = np.ascontiguousarray(b.T)
-    v = np.eye(n)
-    schedule = _round_robin(n)
+    g = len(ids)
+    v = np.zeros((g * n, n))
+    v.reshape(g, n * n)[:, ::n + 1] = 1.0
+    schedule, live = _round_robin(n), np.arange(g)
     # Step buffers, reused: a fresh pairs x 2 x n block per step costs page
     # faults. take's "clip" mode (pairs are in range) fills them unbuffered.
-    gathered, rotated_rows = np.empty((2, n // 2, 2, n))
+    gathered, rotated_rows = np.empty((2, g * (n // 2), 2, n))
     for _ in range(MAX_SWEEPS):
-        rotated = False
-        for pairs in schedule:
+        steps = schedule if g == 1 else [
+            (live[:, None, None] * n + pairs).reshape(-1, 2) for pairs in schedule]
+        moved = np.zeros(live.size, dtype=bool)
+        for pairs in steps:
             x = cols.take(pairs, 0, gathered[:len(pairs)], "clip")
             norms = np.einsum("kij,kij->ki", x, x)
             alpha, beta = norms[:, 0], norms[:, 1]
@@ -144,7 +185,7 @@ def _jacobi_square(b):
             n_active = np.count_nonzero(active)
             if not n_active:
                 continue
-            rotated = True
+            moved |= active.reshape(live.size, -1).any(axis=1)
             if n_active < active.size:
                 pairs, x = pairs[active], x[active]
                 alpha, beta, gamma = alpha[active], beta[active], gamma[active]
@@ -157,24 +198,14 @@ def _jacobi_square(b):
             cols[pairs] = np.matmul(rot, x, out=rotated_rows[:n_active])
             x = v.take(pairs, 0, gathered[:n_active], "clip")
             v[pairs] = np.matmul(rot, x, out=rotated_rows[:n_active])
-        if not rotated:
-            break
-    else:
-        raise SvdConvergenceError(
-            f"no convergence after {MAX_SWEEPS} sweeps; "
-            f"max relative column coupling {_worst_coupling(cols):.3e}"
-        )
-    sigma = np.sqrt(np.einsum("ij,ij->i", cols, cols))
-    order = np.argsort(-sigma, kind="stable")  # ties keep the earlier index
-    sigma = sigma[order]
-    cols = cols[order]
-    vt = v[order]
-    u = np.zeros((n, n))
-    have = sigma > 0.0
-    u[:, have] = (cols[have] / sigma[have, None]).T
-    if not have.all():
-        _complete_basis(u, have)
-    return u, sigma, vt
+        live = live[moved]
+        if not live.size:
+            return v
+    first = live[0]
+    raise SvdConvergenceError(
+        f"no convergence after {MAX_SWEEPS} sweeps; max relative column "
+        f"coupling {_worst_coupling(cols[first * n:(first + 1) * n]):.3e}",
+        ids[first])
 
 
 @functools.lru_cache(maxsize=32)

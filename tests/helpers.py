@@ -48,14 +48,15 @@ def naive_matmul(a, b):
 
 
 def counting_svd(monkeypatch):
-    """Route ``compress.svd`` through a wrapper that records each input
-    matrix; returns the list of recorded inputs."""
+    """Route ``compress.svds`` through a wrapper that records each matrix it
+    is given to decompose; returns the list of recorded inputs."""
     calls = []
-    real = compress.svd
+    real = compress.svds
 
-    def counted(a, *args, **kwargs):
-        calls.append(a)
-        return real(a, *args, **kwargs)
+    def counted(mats):
+        mats = list(mats)
+        calls.extend(mats)
+        return real(mats)
 
-    monkeypatch.setattr(compress, "svd", counted)
+    monkeypatch.setattr(compress, "svds", counted)
     return calls

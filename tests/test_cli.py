@@ -322,6 +322,67 @@ def test_missing_output_directory_fails_before_any_work(workspace, capsys,
     assert sorted(tmp_path.rglob("*")) == files
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--out"), ("train", "--history"), ("finetune", "--out"),
+    ("finetune", "--history"), ("compress", "--out"), ("compress", "--report"),
+    ("sweep", "--out"),
+])
+def test_output_path_that_is_a_directory_fails_before_any_work(workspace, capsys,
+                                                               command, flag):
+    tmp_path, data, model = workspace
+    grid = tmp_path / "grid.txt"
+    grid.write_text("full\nv=1\n")
+    folder = tmp_path / "outdir"
+    folder.mkdir()
+    outputs = {"--out": str(tmp_path / "out"), flag: str(folder)}
+    inputs = {"train": [str(data)] + SMALL_MODEL + SMALL_TRAIN,
+              "finetune": [str(model), str(data)] + SMALL_TRAIN,
+              "compress": [str(model), "--plan", "v=1"],
+              "sweep": [str(model), str(data), "--grid", str(grid)]}[command]
+    files = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    code = main([command, *inputs, *(a for pair in outputs.items() for a in pair)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [f"error: output path {folder} is a directory"]
+    assert sorted(tmp_path.rglob("*")) == files
+
+
+def test_default_report_path_that_is_a_directory_fails_before_any_work(
+        workspace, capsys):
+    tmp_path, _, model = workspace
+    folder = tmp_path / "c.lrts.report.csv"
+    folder.mkdir()
+    files = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(["compress", str(model), "--plan", "v=1",
+                 "--out", str(tmp_path / "c.lrts")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: output path {folder} is a directory"]
+    assert sorted(tmp_path.rglob("*")) == files
+
+
+@pytest.mark.parametrize("command", ["compress", "sweep"])
+def test_svd_nonconvergence_names_the_layer(workspace, capsys, monkeypatch,
+                                            command):
+    import lrskel.linalg
+
+    tmp_path, data, model = workspace
+    grid = tmp_path / "grid.txt"
+    grid.write_text("full\nv=1\nq=1\n")
+    out = tmp_path / "out"
+    args = {"compress": ["compress", str(model), "--plan", "k=1,q=1"],
+            "sweep": ["sweep", str(model), str(data), "--grid", str(grid)]}
+    monkeypatch.setattr(lrskel.linalg, "MAX_SWEEPS", 0)
+    capsys.readouterr()
+    assert main(args[command] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: blocks.0.heads.0.wq: no convergence "
+                             "after 0 sweeps; max relative column coupling ")
+    assert not out.exists()
+
+
 def test_compress_identity_plan_keeps_payload(workspace):
     tmp_path, data, model = workspace
     out = tmp_path / "same.lrts"

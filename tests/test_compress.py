@@ -177,16 +177,17 @@ def test_compress_does_not_mutate_source():
 def test_compress_model_holds_one_decomposition_at_a_time(monkeypatch):
     m = toy_model()
     refs, most_alive = [], 0
-    real = compress.svd
+    real = compress.svds
 
-    def tracked(a):
+    def tracked(mats):
         nonlocal most_alive
-        result = real(a)
-        refs.append(weakref.ref(result))
-        most_alive = max(most_alive, sum(r() is not None for r in refs))
-        return result
+        for result in real(mats):
+            refs.append(weakref.ref(result))
+            most_alive = max(most_alive, sum(r() is not None for r in refs))
+            yield result
+            del result  # the caller's reference is the one under test
 
-    monkeypatch.setattr(compress, "svd", tracked)
+    monkeypatch.setattr(compress, "svds", tracked)
     compress_model(m, parse_plan("q=1,k=1,v=1,o=1,embed=1,head=1"))
     assert len(refs) == len(named_layers(m))
     assert most_alive == 1

@@ -1,14 +1,19 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrskel.layers import LowRankLinear
 from lrskel.linalg import (
+    SvdConvergenceError,
     SvdResult,
     frobenius,
     reconstruction_error,
     svd,
+    svds,
     truncate_to_factors,
 )
 
@@ -335,3 +340,88 @@ def test_sign_convention_matches_loop_on_random_factors(shape):
     _apply_sign_convention(u, vt, min(m, n))
     assert u.tobytes() == expected_u.tobytes()
     assert vt.tobytes() == expected_vt.tobytes()
+
+
+def _stack_catalogue(seed):
+    """Matrices whose shapes repeat up to transposition: 32x8 and its
+    transpose, 8x8, and 5x1 with its transpose."""
+    rng = np.random.default_rng(seed)
+    tall = rng.normal(size=(32, 8))
+    return {
+        "tall": tall,
+        "tall-copy": tall.copy(),
+        "tall-2": rng.normal(size=(32, 8)),
+        "wide": rng.normal(size=(8, 32)),
+        "rank-deficient": rng.normal(size=(32, 3)) @ rng.normal(size=(3, 8)),
+        "zero": np.zeros((32, 8)),
+        "square": rng.normal(size=(8, 8)),
+        "square-2": rng.normal(size=(8, 8)),
+        # Orthogonal columns: no rotation in sweep 1, so it leaves the live
+        # set while the other 8x8 inputs keep rotating.
+        "diagonal": np.diag(rng.uniform(0.5, 2.0, size=8)),
+        "zero-square": np.zeros((8, 8)),
+        "row": rng.normal(size=(1, 5)),
+        "column": rng.normal(size=(5, 1)),
+    }
+
+
+def _assert_svds_equals_svd(mats):
+    results = list(svds(mats))
+    assert len(results) == len(mats)
+    for a, got in zip(mats, results):
+        want = svd(a)
+        for x, y in ((got.u, want.u), (got.sigma, want.sigma),
+                     (got.vt, want.vt)):
+            assert np.array_equal(x, y)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("names", [
+    ["square", "diagonal", "square-2", "zero-square", "diagonal"],
+    ["tall", "wide", "square", "tall-copy", "row", "zero", "tall",
+     "rank-deficient", "diagonal", "column", "tall-2", "square-2"],
+    ["row"], ["zero"], ["diagonal"],
+], ids=["square-stack", "every-kind", "row", "zero", "diagonal"])
+def test_svds_yields_svd_bit_for_bit_in_input_order(names):
+    catalogue = _stack_catalogue(29)
+    _assert_svds_equals_svd([catalogue[name] for name in names])
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.integers(0, 2**16),
+       st.lists(st.sampled_from(sorted(_stack_catalogue(0))), min_size=1,
+                max_size=8))
+def test_svds_matches_svd_on_random_stacks(seed, names):
+    catalogue = _stack_catalogue(seed)
+    _assert_svds_equals_svd([catalogue[name] for name in names])
+
+
+def test_svds_reports_the_first_failing_matrix_with_its_coupling(monkeypatch):
+    import lrskel.linalg as linalg
+
+    catalogue = _stack_catalogue(31)
+    diag, a, b = (catalogue[k] for k in ("diagonal", "square", "square-2"))
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+    svd(diag)  # one sweep without a rotation: converged
+    alone = []
+    for m in (a, b):
+        with pytest.raises(SvdConvergenceError, match="coupling") as info:
+            svd(m)
+        alone.append(str(info.value))
+    assert alone[0] != alone[1]
+    for mats, index, message in (([diag, a, b], 1, alone[0]),
+                                 ([diag, diag, b], 2, alone[1]),
+                                 ([b, diag, a], 0, alone[1])):
+        with pytest.raises(SvdConvergenceError) as info:
+            next(svds(mats))
+        assert info.value.index == index
+        assert str(info.value) == message
+
+
+def test_svds_keeps_no_yielded_result_alive():
+    catalogue = _stack_catalogue(37)
+    mats = [catalogue[k] for k in ("tall", "wide", "square", "tall-2", "row")]
+    results = svds(mats)
+    for _ in mats:
+        ref = weakref.ref(next(results))
+        assert ref() is None
