@@ -18,7 +18,7 @@ import math
 import os
 import sys
 
-from .compress import (PlanParseError, _check_plan, compress_model, parse_plan,
+from .compress import (PlanParseError, check_plan, compress_model, parse_plan,
                        rank_sweep, sweep_to_csv)
 from .container import ContainerError, write_atomic
 from .data import DatasetSpec, generate_dataset, load_dataset, save_dataset
@@ -158,9 +158,8 @@ def _load_splits(data_dir):
     return load_dataset(train_path), load_dataset(test_path)
 
 
-def _fit(args, model, train_samples, test_samples, tcfg):
+def _fit(args, history_path, model, train_samples, test_samples, tcfg):
     """Train ``model``, then write its weights and history and report."""
-    history_path = args.history or args.out + ".history.csv"
     try:
         fitted, history = train(model, train_samples, test_samples, tcfg)
     except TrainingDiverged as exc:
@@ -198,14 +197,15 @@ def cmd_train(args):
         # that the model settings are checked before any file is read.
         mcfg = ModelConfig(joints=1, frames=1, classes=1, seed=tcfg.seed,
                            **_fields(settings, MODEL_DEFAULTS))
-    _check_out_dirs(args.out, args.history)
+    history_path = args.history or args.out + ".history.csv"
+    _check_out_dirs(args.out, history_path)
     train_samples, test_samples = _load_splits(args.data)
     if not train_samples or not test_samples:
         raise ValueError("dataset is empty")
     frames, joints, _ = train_samples[0].coords.shape
     classes = 1 + max(s.label for s in train_samples + test_samples)
     mcfg = dataclasses.replace(mcfg, joints=joints, frames=frames, classes=classes)
-    return _fit(args, build_model(mcfg), train_samples, test_samples, tcfg)
+    return _fit(args, history_path, build_model(mcfg), train_samples, test_samples, tcfg)
 
 
 def cmd_compress(args):
@@ -240,7 +240,7 @@ def cmd_sweep(args):
                 continue
             try:
                 plan = parse_plan(text)
-                _check_plan(model, plan)
+                check_plan(model, plan)
             except ValueError as exc:
                 raise ValueError(f"{args.grid}:{lineno}: {exc}") from None
             grid.append(plan)
@@ -258,9 +258,10 @@ def cmd_finetune(args):
     settings = _resolve(args, FINETUNE_DEFAULTS)
     with _usage_errors():
         tcfg = TrainConfig(**_fields(settings, FINETUNE_DEFAULTS))
-    _check_out_dirs(args.out, args.history)
+    history_path = args.history or args.out + ".history.csv"
+    _check_out_dirs(args.out, history_path)
     model = load_model(args.weights)
-    return _fit(args, model, *_load_splits(args.data), tcfg)
+    return _fit(args, history_path, model, *_load_splits(args.data), tcfg)
 
 
 def cmd_info(args):

@@ -5,7 +5,7 @@ every dense layer of a ranked group with the cascaded factor pair from its
 truncated SVD, leaves everything else byte-identical, and accounts for the
 parameter, FLOP, and reconstruction-error cost of the whole model. One plan
 or a sweep's grid, each ranked layer is decomposed once and truncated once
-per rank.
+per rank. A sweep scores raw top-1 with ``model.top1_scorer``.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import csv_text
-from .finetune import _top1_on
 from .layers import LowRankLinear
 from .linalg import (SvdConvergenceError, frobenius, reconstruction_error, svds,
                      truncate_to_factors)
 from .model import (GROUP_EMBED, GROUP_HEAD, GROUP_K, GROUP_O, GROUP_Q, GROUP_V,
                     SkeletonModel, count_flops, count_params, map_layers,
-                    named_layers)
+                    named_layers, top1_scorer)
 
 # Canonical group order of a rendered plan.
 GROUP_ORDER = (GROUP_Q, GROUP_K, GROUP_V, GROUP_O, GROUP_EMBED, GROUP_HEAD)
@@ -148,11 +147,11 @@ def compress_model(model: SkeletonModel, plan: CompressionPlan):
     Every ranked dense layer becomes a LowRankLinear built from its
     truncated SVD, with the bias copied unchanged.
     """
-    _check_plan(model, plan)
+    check_plan(model, plan)
     return _compress(model, plan, _truncations(model, [plan]))
 
 
-def _check_plan(model: SkeletonModel, plan: CompressionPlan) -> None:
+def check_plan(model: SkeletonModel, plan: CompressionPlan) -> None:
     """Raise ValueError unless every layer ``plan`` ranks is dense and at
     least as wide as its rank in both dimensions."""
     for name, layer, group in named_layers(model):
@@ -245,8 +244,8 @@ def rank_sweep(model: SkeletonModel, test_samples, grid) -> list:
     if not grid:
         raise ValueError("empty plan grid")
     for plan in grid:
-        _check_plan(model, plan)
-    top1 = _top1_on(test_samples, model.config)
+        check_plan(model, plan)
+    top1 = top1_scorer(test_samples, model.config)
     truncations = _truncations(model, grid)
     rows = []
     for plan in grid:

@@ -11,8 +11,8 @@ A step whose logits or loss are not finite stops training with a
 :class:`TrainingDiverged` naming the epoch, the batch and the learning rate,
 and carrying the history of the epochs that completed before it.
 Fine-tuning a compressed model is the same loop: both low-rank factors
-train freely. Top-1, for ``evaluate``, each epoch and ``rank_sweep``, is
-scored by one function that validates its clips once.
+train freely. The clips are checked, and top-1 for ``evaluate`` and each
+epoch is scored, by ``model.check_clips`` and ``model.top1_scorer``.
 """
 
 from __future__ import annotations
@@ -26,14 +26,8 @@ import numpy as np
 
 from .container import csv_text
 from .layers import backward_list
-from .model import (
-    SkeletonModel,
-    _score_features,
-    cross_entropy,
-    forward_features_tape,
-    packed_copy,
-    sample_features,
-)
+from .model import (SkeletonModel, check_clips, cross_entropy,
+                    forward_features_tape, packed_copy, top1_scorer)
 
 HISTORY_HEADER = "epoch,lr,train_loss,test_top1"
 
@@ -112,19 +106,7 @@ class TrainHistory:
 
 def evaluate(model: SkeletonModel, samples) -> float:
     """Top-1 accuracy; argmax ties resolve to the lowest class index."""
-    return _top1_on(samples, model.config)(model)
-
-
-def _top1_on(samples, cfg):
-    """``model -> top-1`` on ``samples``, whose clips are checked once, here.
-    Each call stacks the clips one chunk at a time (a full stack would only
-    add the set's size to peak memory); a non-finite logit is a ValueError."""
-    if not samples:
-        raise ValueError("empty evaluation set")
-    feats = [sample_features(s.coords, cfg) for s in samples]
-    labels = np.array([s.label for s in samples])
-    return lambda model: float(np.mean(
-        np.argmax(_score_features(model, feats), axis=1) == labels))
+    return top1_scorer(samples, model.config)(model)
 
 
 class TrainingDiverged(RuntimeError):
@@ -139,14 +121,11 @@ class TrainingDiverged(RuntimeError):
 def train(model: SkeletonModel, train_samples, test_samples,
           cfg: TrainConfig):
     """SGD-train a copy of ``model``; returns (trained model, history)."""
-    if not train_samples or not test_samples:
-        raise ValueError("datasets must be non-empty")
     mcfg = model.config
-    feats = [sample_features(s.coords, mcfg) for s in train_samples]
-    labels = np.array([s.label for s in train_samples], dtype=np.int64)
+    feats, labels = check_clips(train_samples, mcfg, "training set")
     if labels.min() < 0 or labels.max() >= mcfg.classes:
         raise ValueError(f"label out of range [0, {mcfg.classes})")
-    test_top1 = _top1_on(test_samples, mcfg)
+    test_top1 = top1_scorer(test_samples, mcfg)
 
     trained, flat = packed_copy(model)
     n = len(feats)

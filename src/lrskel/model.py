@@ -5,6 +5,10 @@ those matrices stacked to B x T x 3J and runs through the same body: embed
 to d_model, a stack of multi-head self-attention blocks with residual
 connections, mean-pool over time, and a linear head. Small by design; the
 point is the compression pass, not the architecture.
+
+Labelled clips are checked (``check_clips``) and scored (``top1_scorer``)
+here alone; ``forward``, fine-tuning and ``compress.rank_sweep`` use them,
+so compression and fine-tuning are sibling modules over this one.
 """
 
 from __future__ import annotations
@@ -240,10 +244,26 @@ def forward(model: SkeletonModel, samples) -> np.ndarray:
 
     Raises ValueError when a logit is not finite, as a diverged model's are.
     """
-    feats = [sample_features(s.coords, model.config) for s in samples]
-    if not feats:
-        raise ValueError("empty batch")
-    return _score_features(model, feats)
+    return _score_features(model, check_clips(samples, model.config, "batch")[0])
+
+
+def check_clips(samples, cfg: ModelConfig, what="evaluation set"):
+    """``(feats, labels)`` for a list of labelled clips: each clip's T x 3J
+    feature matrix, checked here and nowhere else, and the labels as one
+    int64 array. An empty list is a ValueError that names ``what``."""
+    if not samples:
+        raise ValueError(f"empty {what}")
+    feats = [sample_features(s.coords, cfg) for s in samples]
+    return feats, np.array([s.label for s in samples], dtype=np.int64)
+
+
+def top1_scorer(samples, cfg: ModelConfig):
+    """``model -> top-1`` on ``samples``, checked once, here; argmax ties go
+    to the lowest class and a non-finite logit is a ValueError. Each call
+    stacks the clips a chunk at a time (a full stack only adds to peak memory)."""
+    feats, labels = check_clips(samples, cfg)
+    return lambda model: float(np.mean(
+        np.argmax(_score_features(model, feats), axis=1) == labels))
 
 
 def _score_features(model: SkeletonModel, feats) -> np.ndarray:

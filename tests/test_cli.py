@@ -362,6 +362,24 @@ def test_default_report_path_that_is_a_directory_fails_before_any_work(
     assert sorted(tmp_path.rglob("*")) == files
 
 
+@pytest.mark.parametrize("command", ["train", "finetune"])
+def test_default_history_path_that_is_a_directory_fails_before_any_work(
+        workspace, capsys, command):
+    tmp_path, data, model = workspace
+    out = tmp_path / "m2.lrts"
+    folder = tmp_path / "m2.lrts.history.csv"
+    folder.mkdir()
+    inputs = {"train": [str(data)] + SMALL_MODEL + SMALL_TRAIN,
+              "finetune": [str(model), str(data)] + SMALL_TRAIN}[command]
+    files = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([command, *inputs, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: output path {folder} is a directory"]
+    assert not out.exists()
+    assert sorted(tmp_path.rglob("*")) == files
+
+
 @pytest.mark.parametrize("command", ["compress", "sweep"])
 def test_svd_nonconvergence_names_the_layer(workspace, capsys, monkeypatch,
                                             command):

@@ -333,7 +333,6 @@ def test_rank_sweep_validates_each_clip_once(trained_toy, monkeypatch):
         return real(coords, cfg)
 
     monkeypatch.setattr(lrskel.model, "sample_features", counted)
-    monkeypatch.setattr(lrskel.finetune, "sample_features", counted)
     rank_sweep(m, test, [parse_plan(t) for t in ("full", "v=1", "q=2,k=2")])
     assert len(calls) == len(test)
 

@@ -179,10 +179,25 @@ def test_train_validates_each_clip_once(monkeypatch):
         return original(coords, cfg)
 
     monkeypatch.setattr(lrskel.model, "sample_features", counted)
-    monkeypatch.setattr(lrskel.finetune, "sample_features", counted)
     model, tr, te = small_setup()
     train(model, tr, te, TrainConfig(base_lr=0.05, epochs=3, batch_size=4))
     assert len(calls) == len(tr) + len(te)
+
+
+def test_evaluate_validates_each_clip_once(monkeypatch):
+    import lrskel.model
+
+    calls = []
+    original = lrskel.model.sample_features
+
+    def counted(coords, cfg):
+        calls.append(1)
+        return original(coords, cfg)
+
+    monkeypatch.setattr(lrskel.model, "sample_features", counted)
+    model, _, te = small_setup()
+    evaluate(model, te)
+    assert len(calls) == len(te)
 
 
 def test_history_csv_writes_numbers_not_their_reprs():

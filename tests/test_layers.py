@@ -118,6 +118,17 @@ def test_softmax_hand_oracle():
     assert np.abs(out - [0.25, 0.75]).max() < 1e-15
 
 
+def test_softmax_odd_width_keeps_a_large_last_column():
+    # The stabilizing max must see every column, the odd last one included:
+    # a shift by any smaller value overflows exp.
+    for width in (3, 5, 7, 9, 17):
+        row = np.zeros((1, width))
+        row[0, -1] = 1000.0
+        expected = np.zeros((1, width))
+        expected[0, -1] = 1.0
+        assert np.array_equal(softmax_rows(row), expected), width
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(6)
     out = softmax_rows(rng.normal(size=(20, 9)) * 50.0)

@@ -28,6 +28,18 @@ def test_svd_diagonal():
     assert np.allclose(s.sigma, [3.0, 1.0], atol=1e-15)
 
 
+def test_svd_equal_singular_values_keep_their_input_order():
+    # A diagonal input needs no rotation, so each singular vector is the
+    # unit vector of its diagonal entry; equal values keep the earlier
+    # index first.
+    d = np.tile([1.0, 3.0, 2.0], 11)[:32]
+    s = svd(np.diag(d))
+    order = np.argsort(-d, kind="stable")
+    assert np.array_equal(s.sigma, d[order])
+    assert np.array_equal(np.argmax(np.abs(s.vt), axis=1), order)
+    assert np.array_equal(np.argmax(np.abs(s.u), axis=0), order)
+
+
 def test_svd_hand_oracle_2x2():
     # Singular values of [[1,1],[0,1]] from the eigenvalues of A^T A,
     # whose characteristic polynomial gives (3 +- sqrt(5)) / 2.

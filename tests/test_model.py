@@ -160,6 +160,24 @@ def test_forward_batch_independence():
             assert np.array_equal(row, forward(m, [sample])[0])
 
 
+def test_forward_validates_each_clip_once(monkeypatch):
+    import lrskel.model
+
+    calls = []
+    original = lrskel.model.sample_features
+
+    def counted(coords, cfg):
+        calls.append(1)
+        return original(coords, cfg)
+
+    monkeypatch.setattr(lrskel.model, "sample_features", counted)
+    rng = np.random.default_rng(4)
+    samples = [SkeletonSample(rng.normal(size=(16, 8, 3)), i % 8)
+               for i in range(5)]
+    assert forward(build_model(TOY), samples).shape == (5, 8)
+    assert len(calls) == len(samples)
+
+
 def test_forward_zero_input_uniform_logits():
     m = build_model(TOY)
     logits = forward(m, [SkeletonSample(np.zeros((16, 8, 3)), 0)])

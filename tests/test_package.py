@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import types
 
 import lrskel
@@ -15,3 +17,26 @@ def test_public_names_are_the_pipeline_entry_points():
         "save_model", "load_model", "compress_model", "parse_plan",
         "count_params",
     }
+
+
+def _relative_imports():
+    """(module, imported module, imported name) of every ``from . import``
+    and ``from .x import`` in the package's source."""
+    src = pathlib.Path(lrskel.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                for alias in node.names:
+                    yield path.stem, node.module, alias.name
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    assert [imp for imp in _relative_imports() if imp[2].startswith("_")] == []
+
+
+def test_compression_and_fine_tuning_are_siblings():
+    # Both build on ``model``; compression imports nothing from fine-tuning.
+    imports = list(_relative_imports())
+    assert imports
+    assert [imp for imp in imports if imp[0] == "compress" and
+            (imp[1] == "finetune" or imp[2] == "finetune")] == []
