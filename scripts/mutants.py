@@ -59,6 +59,10 @@ MUTANTS = (
      "    feats = [sample_features(s.coords, cfg) for s in samples]",
      "    feats = [np.asarray(s.coords, dtype=np.float64).reshape("
      "cfg.frames, cfg.input_width) for s in samples]"),
+    ("label-range-off-by-one", "model.py", "labels.max() >= cfg.classes",
+     "labels.max() > cfg.classes"),
+    ("same-file-check-bypassed", "cli.py",
+     "    if len(set(map(os.path.realpath, paths))) < len(paths):", "    if False:"),
 )
 
 

@@ -144,7 +144,9 @@ def _usage_errors():
 
 
 def _check_out_dirs(*paths):
-    for path in filter(None, paths):
+    if len(set(map(os.path.realpath, paths))) < len(paths):
+        raise ValueError(f"output paths {' and '.join(paths)} name one file")
+    for path in paths:
         folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise ValueError(f"output directory {folder} does not exist")

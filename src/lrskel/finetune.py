@@ -121,11 +121,8 @@ class TrainingDiverged(RuntimeError):
 def train(model: SkeletonModel, train_samples, test_samples,
           cfg: TrainConfig):
     """SGD-train a copy of ``model``; returns (trained model, history)."""
-    mcfg = model.config
-    feats, labels = check_clips(train_samples, mcfg, "training set")
-    if labels.min() < 0 or labels.max() >= mcfg.classes:
-        raise ValueError(f"label out of range [0, {mcfg.classes})")
-    test_top1 = top1_scorer(test_samples, mcfg)
+    feats, labels = check_clips(train_samples, model.config, "training set")
+    test_top1 = top1_scorer(test_samples, model.config)
 
     trained, flat = packed_copy(model)
     n = len(feats)

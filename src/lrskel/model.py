@@ -242,19 +242,22 @@ def forward_features_tape(model: SkeletonModel, x):
 def forward(model: SkeletonModel, samples) -> np.ndarray:
     """Logits for a batch of skeleton samples.
 
-    Raises ValueError when a logit is not finite, as a diverged model's are.
+    Raises ValueError on a clip ``check_clips`` rejects or a non-finite logit.
     """
     return _score_features(model, check_clips(samples, model.config, "batch")[0])
 
 
 def check_clips(samples, cfg: ModelConfig, what="evaluation set"):
-    """``(feats, labels)`` for a list of labelled clips: each clip's T x 3J
-    feature matrix, checked here and nowhere else, and the labels as one
-    int64 array. An empty list is a ValueError that names ``what``."""
+    """``(feats, labels)`` for a list of labelled clips, checked here and
+    nowhere else: T x 3J feature matrices and one int64 label array. An empty
+    list or a label outside ``[0, classes)`` is a ValueError naming ``what``."""
     if not samples:
         raise ValueError(f"empty {what}")
     feats = [sample_features(s.coords, cfg) for s in samples]
-    return feats, np.array([s.label for s in samples], dtype=np.int64)
+    labels = np.array([s.label for s in samples], dtype=np.int64)
+    if labels.min() < 0 or labels.max() >= cfg.classes:
+        raise ValueError(f"label out of range [0, {cfg.classes}) in {what}")
+    return feats, labels
 
 
 def top1_scorer(samples, cfg: ModelConfig):

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import struct
 import warnings
 
@@ -14,7 +15,7 @@ from helpers import counting_svd
 from lrskel.cli import (COMPRESS_DEFAULTS, FINETUNE_DEFAULTS, GEN_DEFAULTS,
                         MODEL_DEFAULTS, TRAIN_DEFAULTS, build_parser, main)
 from lrskel.compress import compress_model, parse_plan
-from lrskel.data import load_dataset
+from lrskel.data import load_dataset, save_dataset
 from lrskel.finetune import evaluate
 from lrskel.container import write_weights
 from lrskel.model import build_model, count_params, load_model, model_to_tensors, ModelConfig
@@ -378,6 +379,61 @@ def test_default_history_path_that_is_a_directory_fails_before_any_work(
     assert err.splitlines() == [f"error: output path {folder} is a directory"]
     assert not out.exists()
     assert sorted(tmp_path.rglob("*")) == files
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--history"), ("finetune", "--history"), ("compress", "--report"),
+])
+def test_two_outputs_that_name_one_file_fail_before_any_work(workspace, capsys,
+                                                             command, flag):
+    tmp_path, data, _ = workspace
+    out = str(tmp_path / "out.lrts")
+    same = os.path.join(str(tmp_path), ".", "out.lrts")
+    # The input is missing too: the output check comes first.
+    missing = str(tmp_path / "missing")
+    inputs = {"train": [missing] + SMALL_MODEL + SMALL_TRAIN,
+              "finetune": [missing, str(data)] + SMALL_TRAIN,
+              "compress": [missing, "--plan", "v=1"]}[command]
+    files = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([command, *inputs, "--out", out, flag, same]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: output paths {out} and {same} name one file"]
+    assert sorted(tmp_path.rglob("*")) == files
+
+
+def test_train_on_an_empty_test_split_fails_and_writes_nothing(workspace, capsys):
+    tmp_path, data, _ = workspace
+    save_dataset(data / "test.lrsk", [])
+    files = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(["train", str(data), "--out", str(tmp_path / "m2.lrts")]
+                + SMALL_MODEL + SMALL_TRAIN) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: dataset is empty"]
+    assert sorted(tmp_path.rglob("*")) == files
+
+
+@pytest.mark.parametrize("command", ["sweep", "finetune"])
+def test_test_labels_outside_the_model_classes_fail_before_any_work(
+        workspace, capsys, monkeypatch, command):
+    tmp_path, data, model = workspace
+    wide = tmp_path / "wide"
+    assert main(["gen", "--out", str(wide)] + SMALL_GEN + ["--classes", "5"]) == 0
+    (data / "test.lrsk").write_bytes((wide / "test.lrsk").read_bytes())
+    grid = tmp_path / "grid.txt"
+    grid.write_text("full\nv=1\n")
+    calls = counting_svd(monkeypatch)
+    args = {"sweep": [str(model), str(data), "--grid", str(grid),
+                      "--out", str(tmp_path / "s.csv")],
+            "finetune": [str(model), str(data), "--out", str(tmp_path / "f.lrts")]
+            + SMALL_TRAIN}[command]
+    files = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([command, *args]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: label out of range [0, 3) in evaluation set"]
+    assert sorted(tmp_path.rglob("*")) == files
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", ["compress", "sweep"])

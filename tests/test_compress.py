@@ -362,6 +362,8 @@ def test_rank_sweep_checks_every_plan_before_any_svd(trained_toy, monkeypatch):
         (m, [], ["q=1"], "empty evaluation set"),
         (m, test[:3] + [SkeletonSample(np.full((8, 3, 3), np.nan), 0)], ["q=1"],
          "non-finite"),
+        (m, test[:3] + [SkeletonSample(test[0].coords, m.config.classes)], ["q=1"],
+         r"label out of range \[0, 4\) in evaluation set"),
     )
     for model, samples, texts, message in cases:
         calls.clear()

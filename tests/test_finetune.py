@@ -331,6 +331,32 @@ def test_train_rejects_labels_out_of_range():
         train(model, bad, te, TrainConfig(base_lr=0.1, epochs=1))
 
 
+def test_evaluate_and_forward_reject_labels_out_of_range():
+    model, _, te = small_setup()
+    for label in (3, -1):
+        bad = te[:2] + [SkeletonSample(coords=te[0].coords, label=label)]
+        with pytest.raises(ValueError,
+                           match=r"label out of range \[0, 3\) in evaluation set"):
+            evaluate(model, bad)
+        with pytest.raises(ValueError, match=r"label out of range \[0, 3\) in batch"):
+            forward(model, bad)
+
+
+def test_finite_logits_with_a_non_finite_loss_diverge():
+    # Logits (1e308, -1e308) are finite, but label 1's log-probability is
+    # -inf, so the loss is not.
+    cfg = ModelConfig(joints=1, frames=2, d_model=2, heads=1, blocks=0,
+                      classes=2, seed=3)
+    model = build_model(cfg)
+    model.head.weight[:] = 0.0
+    model.head.bias[:] = [1e308, -1e308]
+    sample = SkeletonSample(coords=np.ones((2, 1, 3)), label=1)
+    with pytest.raises(RuntimeError,
+                       match=r"^training diverged at epoch 0, batch 0 \(lr 0\.1\)$"):
+        train(model, [sample], [sample],
+              TrainConfig(base_lr=0.1, epochs=1, batch_size=1))
+
+
 def test_divergence_after_the_last_batch_is_named():
     # The only batch's logits are finite; its update overflows the weights,
     # which shows when the epoch's test set is scored with them.

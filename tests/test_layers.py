@@ -244,6 +244,12 @@ def test_mhsa_rejects_mismatched_heads():
         MhsaBlock(heads, rand_dense(rng, 5, 6))
 
 
+def test_mhsa_rejects_input_of_the_wrong_width():
+    block = make_block(np.random.default_rng(14), 6, 2, 3)
+    with pytest.raises(ValueError, match=re.escape("input width 5 != d_model 6")):
+        block.forward(np.ones((4, 5)))
+
+
 def test_mhsa_full_rank_replacement_keeps_forward():
     rng = np.random.default_rng(15)
     block = make_block(rng, 6, 2, 3)
