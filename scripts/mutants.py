@@ -62,7 +62,12 @@ MUTANTS = (
     ("label-range-off-by-one", "model.py", "labels.max() >= cfg.classes",
      "labels.max() > cfg.classes"),
     ("same-file-check-bypassed", "cli.py",
-     "    if len(set(map(os.path.realpath, paths))) < len(paths):", "    if False:"),
+     "    if len({real[path] for path in paths}) < len(paths):", "    if False:"),
+    ("overwrite-format-check-bypassed", "cli.py",
+     "real.get(source) == real[path] and form != kind", "False"),
+    ("gen-not-a-directory-bypassed", "cli.py",
+     "        if os.path.exists(folder) and not os.path.isdir(folder):",
+     "        if False:"),
 )
 
 

@@ -143,21 +143,30 @@ def _usage_errors():
         raise UsageError(str(exc)) from exc
 
 
-def _check_out_dirs(*paths):
-    if len(set(map(os.path.realpath, paths))) < len(paths):
+def _check_out_dirs(args, outputs, made=""):
+    """Admit a command's ``(path, format)`` outputs; ``made`` is a folder it creates."""
+    inputs = [(vars(args).get(key), key) for key in ("weights", "grid", "config")]
+    if "data" in vars(args):
+        inputs += [(path, "dataset") for path in _splits(args.data)]
+    real = {path: os.path.realpath(path) for path, _ in outputs + inputs if path}
+    paths = [path for path, _ in outputs]
+    if len({real[path] for path in paths}) < len(paths):
         raise ValueError(f"output paths {' and '.join(paths)} name one file")
-    for path in paths:
+    for path, kind in outputs:
         folder = os.path.dirname(path)
-        if folder and not os.path.isdir(folder):
+        if os.path.exists(folder) and not os.path.isdir(folder):
+            raise ValueError(f"output directory {folder} is not a directory")
+        if folder not in ("", made) and not os.path.isdir(folder):
             raise ValueError(f"output directory {folder} does not exist")
         if os.path.isdir(path):
             raise ValueError(f"output path {path} is a directory")
+        for source, form in inputs:
+            if real.get(source) == real[path] and form != kind:
+                raise ValueError(f"output path {path} would overwrite input {source}")
 
 
-def _load_splits(data_dir):
-    train_path = os.path.join(data_dir, TRAIN_FILE)
-    test_path = os.path.join(data_dir, TEST_FILE)
-    return load_dataset(train_path), load_dataset(test_path)
+def _splits(folder):
+    return [os.path.join(folder, name) for name in (TRAIN_FILE, TEST_FILE)]
 
 
 def _fit(args, history_path, model, train_samples, test_samples, tcfg):
@@ -183,9 +192,10 @@ def cmd_gen(args):
     with _usage_errors():
         spec = DatasetSpec(**_fields(settings, GEN_DEFAULTS))
         train_samples, test_samples = generate_dataset(spec)
+    _check_out_dirs(args, [(p, "dataset") for p in _splits(args.out)], made=args.out)
     os.makedirs(args.out, exist_ok=True)
-    save_dataset(os.path.join(args.out, TRAIN_FILE), train_samples)
-    save_dataset(os.path.join(args.out, TEST_FILE), test_samples)
+    for path, samples in zip(_splits(args.out), (train_samples, test_samples)):
+        save_dataset(path, samples)
     print(f"train samples: {len(train_samples)}")
     print(f"test samples: {len(test_samples)}")
     return 0
@@ -200,8 +210,8 @@ def cmd_train(args):
         mcfg = ModelConfig(joints=1, frames=1, classes=1, seed=tcfg.seed,
                            **_fields(settings, MODEL_DEFAULTS))
     history_path = args.history or args.out + ".history.csv"
-    _check_out_dirs(args.out, history_path)
-    train_samples, test_samples = _load_splits(args.data)
+    _check_out_dirs(args, [(args.out, "weights"), (history_path, "csv")])
+    train_samples, test_samples = map(load_dataset, _splits(args.data))
     if not train_samples or not test_samples:
         raise ValueError("dataset is empty")
     frames, joints, _ = train_samples[0].coords.shape
@@ -217,7 +227,7 @@ def cmd_compress(args):
     except PlanParseError as exc:
         raise UsageError(f"bad --plan: {exc}") from exc
     report_path = args.report or args.out + ".report.csv"
-    _check_out_dirs(args.out, report_path)
+    _check_out_dirs(args, [(args.out, "weights"), (report_path, "csv")])
     model = load_model(args.weights)
     compressed, report = compress_model(model, plan)
     save_model(args.out, compressed)
@@ -231,7 +241,7 @@ def cmd_compress(args):
 
 def cmd_sweep(args):
     _resolve(args, {})
-    _check_out_dirs(args.out)
+    _check_out_dirs(args, [(args.out, "csv")])
     model = load_model(args.weights)
     test_samples = load_dataset(os.path.join(args.data, TEST_FILE))
     grid = []
@@ -261,9 +271,9 @@ def cmd_finetune(args):
     with _usage_errors():
         tcfg = TrainConfig(**_fields(settings, FINETUNE_DEFAULTS))
     history_path = args.history or args.out + ".history.csv"
-    _check_out_dirs(args.out, history_path)
+    _check_out_dirs(args, [(args.out, "weights"), (history_path, "csv")])
     model = load_model(args.weights)
-    return _fit(args, history_path, model, *_load_splits(args.data), tcfg)
+    return _fit(args, history_path, model, *map(load_dataset, _splits(args.data)), tcfg)
 
 
 def cmd_info(args):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -347,11 +347,14 @@ class MhsaBlock:
         layers = [p for h in self.heads for p in (h.wq, h.wk, h.wv)] + [self.wo]
         return list(zip(self.projection_names(self.n_heads), layers, strict=True))
 
-    def _stacked(self):
-        """``(layout, factors, bias)`` of the stacked projection chain. The
-        layout holds ``(layer, first-factor columns, output columns)`` per
-        projection in group order; ``bias`` is None when no projection has
-        one."""
+    def forward(self, x) -> np.ndarray:
+        return self.forward_tape(x)[0]
+
+    def forward_tape(self, x):
+        if x.shape[-1] != self.heads[0].wq.c_in:
+            raise ValueError(
+                f"input width {x.shape[-1]} != d_model {self.heads[0].wq.c_in}")
+        # ``layout``: (layer, first-factor columns, output columns), group order.
         projections = [getattr(h, attr) for attr in ("wq", "wk", "wv")
                        for h in self.heads]
         layout, a, o = [], 0, 0
@@ -369,41 +372,30 @@ class MhsaBlock:
         if any(p.bias is not None for p in projections):
             bias = np.concatenate([np.zeros(p.c_out) if p.bias is None else p.bias
                                    for p in projections])
-        return layout, factors, bias
-
-    def forward(self, x) -> np.ndarray:
-        return self.forward_tape(x)[0]
-
-    def forward_tape(self, x):
-        if x.shape[-1] != self.heads[0].wq.c_in:
-            raise ValueError(
-                f"input width {x.shape[-1]} != d_model {self.heads[0].wq.c_in}")
-        layout, factors, bias = self._stacked()
         qkv, chain_grad = _chain(factors, bias, x)
         n, d_k = self.n_heads, self.d_k
         q, k, v = (_split_heads(a, n)
                    for a in np.split(qkv, [n * d_k, 2 * n * d_k], axis=-1))
         heads_out, ta = attention_forward_tape(q, k, v)
         y, to = self.wo.forward_tape(_merge_heads(heads_out))
-        return y, GradTape(partial(self._backward, layout, chain_grad, ta, to),
-                           y.shape, self.params)
 
-    def _backward(self, layout, chain_grad, attention_tape, wo_tape, grad_out):
-        grad_heads, wo_grads = backward_list(wo_tape, grad_out)
-        n = self.n_heads
-        grad_qkv, _ = backward_list(attention_tape, _split_heads(grad_heads, n))
-        # The chain's gradients: first factor, then the second factor and the
-        # bias when any projection has one.
-        grad_in, (first, *rest) = chain_grad(
-            np.concatenate([_merge_heads(g) for g in grad_qkv], axis=-1))
-        grads = []
-        for p, cols, outs in (layout[g * n + i] for i in range(n) for g in range(3)):
-            grads.append(first[:, cols])
-            if len(p.factors) > 1:
-                grads.append(rest[0][cols, outs])
-            if p.bias is not None:
-                grads.append(rest[-1][outs])
-        return grad_in, grads + wo_grads
+        def grad(grad_out):
+            grad_heads, wo_grads = backward_list(to, grad_out)
+            grad_qkv, _ = backward_list(ta, _split_heads(grad_heads, n))
+            # The chain's gradients: first factor, then the second factor and
+            # the bias when any projection has one.
+            grad_in, (first, *rest) = chain_grad(
+                np.concatenate([_merge_heads(g) for g in grad_qkv], axis=-1))
+            grads = []
+            for p, cols, outs in (layout[g * n + i] for i in range(n) for g in range(3)):
+                grads.append(first[:, cols])
+                if len(p.factors) > 1:
+                    grads.append(rest[0][cols, outs])
+                if p.bias is not None:
+                    grads.append(rest[-1][outs])
+            return grad_in, grads + wo_grads
+
+        return y, GradTape(grad, y.shape, self.params)
 
     def params(self) -> dict:
         return {

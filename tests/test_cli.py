@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import struct
 import warnings
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import counting_svd
+from lrskel import cli
 from lrskel.cli import (COMPRESS_DEFAULTS, FINETUNE_DEFAULTS, GEN_DEFAULTS,
                         MODEL_DEFAULTS, TRAIN_DEFAULTS, build_parser, main)
 from lrskel.compress import compress_model, parse_plan
@@ -796,3 +798,135 @@ def test_fuzz_config_file_fails_cleanly(tmp_path_factory, command, data):
     assert len(lines) == 1 and lines[0].startswith("usage error:" if code == 2 else "error:"), err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# One path rule for every writing command: an output may not resolve to an
+# input of another format. Each case names (argv, the one error line), with
+# paths relative to the workspace; no case may read data or weights, and
+# every file keeps its bytes.
+OVERWRITE_CASES = [
+    (["sweep", "model.lrts", "data", "--grid", "g.txt", "--out", "model.lrts"],
+     "error: output path model.lrts would overwrite input model.lrts"),
+    (["sweep", "link.lrts", "data", "--grid", "g.txt", "--out", "model.lrts"],
+     "error: output path model.lrts would overwrite input link.lrts"),
+    (["sweep", "model.lrts", "data", "--grid", "g.txt", "--out", "g.txt"],
+     "error: output path g.txt would overwrite input g.txt"),
+    (["compress", "model.lrts", "--plan", "q=1", "--out", "c.lrts",
+      "--report", "model.lrts"],
+     "error: output path model.lrts would overwrite input model.lrts"),
+    (["finetune", "model.lrts", "data", "--out", "data/train.lrsk", *SMALL_TRAIN],
+     "error: output path data/train.lrsk would overwrite input data/train.lrsk"),
+    (["finetune", "model.lrts", "data", "--out", "f.lrts", "--history", "model.lrts",
+      *SMALL_TRAIN],
+     "error: output path model.lrts would overwrite input model.lrts"),
+    (["train", "data", "--out", "t.lrts", "--history", "data/test.lrsk", *SMALL_MODEL,
+      *SMALL_TRAIN],
+     "error: output path data/test.lrsk would overwrite input data/test.lrsk"),
+    (["train", "data", "--out", "c.json", "--config", "c.json", *SMALL_MODEL],
+     "error: output path c.json would overwrite input c.json"),
+    (["gen", "--out", "model.lrts", *SMALL_GEN],
+     "error: output directory model.lrts is not a directory"),
+]
+
+
+def _snapshot(root):
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("argv, line", OVERWRITE_CASES)
+def test_output_over_an_input_of_another_format_fails_before_any_read(
+        workspace, capsys, monkeypatch, argv, line):
+    tmp_path, _, _ = workspace
+    (tmp_path / "g.txt").write_text("full\nv=1\n")
+    (tmp_path / "c.json").write_text('{"epochs": 1}')
+    (tmp_path / "link.lrts").symlink_to(tmp_path / "model.lrts")
+    monkeypatch.chdir(tmp_path)
+
+    def no_read(path):
+        raise AssertionError(f"read {path} before the path rule")
+
+    monkeypatch.setattr(cli, "load_model", no_read)
+    monkeypatch.setattr(cli, "load_dataset", no_read)
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["compress", "finetune"])
+def test_in_place_run_replaces_its_input_weights(workspace, monkeypatch, command):
+    tmp_path, _, model = workspace
+    monkeypatch.chdir(tmp_path)
+    argv = {"compress": ["compress", "model.lrts", "--plan", "q=1"],
+            "finetune": ["finetune", "model.lrts", "data", *SMALL_TRAIN]}[command]
+    trained = model.read_bytes()
+    assert main(argv + ["--out", "copy.lrts"]) == 0
+    assert main(argv + ["--out", "model.lrts"]) == 0
+    assert model.read_bytes() == (tmp_path / "copy.lrts").read_bytes() != trained
+
+
+# Every output flag of a writing command aims, at random, at a fresh path,
+# one of the command's inputs, another output's fresh path, an existing
+# directory or a path in a missing directory. Per command: the argv before
+# the outputs, the inputs by format and the output flags by format; paths
+# are relative to a copy of one tiny workspace.
+SPLITS = {"data/train.lrsk": "dataset", "data/test.lrsk": "dataset"}
+PATH_COMMANDS = {
+    "gen": ([*SMALL_GEN], {}, {"--out": "dataset"}),
+    "train": (["data", *SMALL_MODEL, *SMALL_TRAIN], SPLITS,
+              {"--out": "weights", "--history": "csv"}),
+    "compress": (["model.lrts", "--plan", "v=1"], {"model.lrts": "weights"},
+                 {"--out": "weights", "--report": "csv"}),
+    "sweep": (["model.lrts", "data", "--grid", "grid.txt"],
+              {"model.lrts": "weights", "grid.txt": "grid", **SPLITS}, {"--out": "csv"}),
+    "finetune": (["model.lrts", "data", *SMALL_TRAIN], {"model.lrts": "weights", **SPLITS},
+                 {"--out": "weights", "--history": "csv"}),
+}
+WORKSPACE_NAMES = {"data", "model.lrts", "grid.txt"}
+
+
+@pytest.fixture(scope="module")
+def path_workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("path_base")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--out", str(root / "data")] + SMALL_GEN) == 0
+        assert main(["train", str(root / "data"), "--out", str(root / "model.lrts")]
+                    + SMALL_MODEL + SMALL_TRAIN) == 0
+    (root / "grid.txt").write_text("full\nv=1\n")
+    (root / "cfg.json").write_text("{}")
+    (root / "adir").mkdir()
+    return root
+
+
+@pytest.mark.parametrize("command", sorted(PATH_COMMANDS))
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzz_output_paths_never_overwrite_another_format(
+        tmp_path_factory, path_workspace, command, data):
+    head, inputs, outputs = PATH_COMMANDS[command]
+    inputs = {**inputs, "cfg.json": "config"}
+    fresh = {flag: "new" + flag for flag in outputs}
+    targets = {flag: data.draw(st.sampled_from(
+        [fresh[flag], *sorted(inputs), *(fresh[f] for f in outputs if f != flag),
+         "adir", "nodir/x"]), label=flag) for flag in outputs}
+    root = tmp_path_factory.mktemp("paths")
+    shutil.copytree(path_workspace, root, dirs_exist_ok=True)
+    before = _snapshot(root)
+    argv = [command, *(str(root / a) if a in WORKSPACE_NAMES else a for a in head),
+            "--config", str(root / "cfg.json"),
+            *(a for flag, target in targets.items() for a in (flag, str(root / target)))]
+    code, err = _run_quietly(argv)
+    for flag, target in targets.items():
+        if target in inputs and inputs[target] != outputs[flag]:
+            assert (root / target).read_bytes() == before[root / target], (flag, target)
+    if code == 0:
+        for flag, target in targets.items():
+            written = ([root / target / "train.lrsk", root / target / "test.lrsk"]
+                       if command == "gen" else [root / target])
+            assert all(p.is_file() and p.stat().st_size for p in written), err
+        return
+    lines = err.splitlines()
+    assert code in (1, 2) and len(lines) == 1, err
+    assert lines[0].startswith("usage error:" if code == 2 else "error:"), err
+    assert {p: b for p, b in _snapshot(root).items() if p in before} == before
