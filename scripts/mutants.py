@@ -66,8 +66,9 @@ MUTANTS = (
     ("overwrite-format-check-bypassed", "cli.py",
      "real.get(source) == real[path] and form != kind", "False"),
     ("gen-not-a-directory-bypassed", "cli.py",
-     "        if os.path.exists(folder) and not os.path.isdir(folder):",
-     "        if False:"),
+     "        if parent and not os.path.isdir(parent):", "        if False:"),
+    ("layer-table-check-bypassed", "model.py",
+     "            if (layer.c_in, layer.c_out) != shape:", "            if False:"),
 )
 
 

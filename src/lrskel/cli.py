@@ -153,9 +153,11 @@ def _check_out_dirs(args, outputs, made=""):
     if len({real[path] for path in paths}) < len(paths):
         raise ValueError(f"output paths {' and '.join(paths)} name one file")
     for path, kind in outputs:
-        folder = os.path.dirname(path)
-        if os.path.exists(folder) and not os.path.isdir(folder):
-            raise ValueError(f"output directory {folder} is not a directory")
+        folder = parent = os.path.dirname(path)
+        while parent and not os.path.exists(parent):
+            parent = os.path.dirname(parent)
+        if parent and not os.path.isdir(parent):
+            raise ValueError(f"output directory {parent} is not a directory")
         if folder not in ("", made) and not os.path.isdir(folder):
             raise ValueError(f"output directory {folder} does not exist")
         if os.path.isdir(path):

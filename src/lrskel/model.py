@@ -72,20 +72,24 @@ class ModelConfig:
 
 
 class SkeletonModel:
-    def __init__(self, embed, blocks, head, config: ModelConfig):
-        blocks = list(blocks)
-        if embed.c_in != config.input_width or embed.c_out != config.d_model:
-            raise ValueError("embedding shape disagrees with config")
-        if head.c_in != config.d_model or head.c_out != config.classes:
-            raise ValueError("classifier head shape disagrees with config")
-        if len(blocks) != config.blocks:
-            raise ValueError("block count disagrees with config")
-        for b in blocks:
-            if b.n_heads != config.heads or b.wo.c_out != config.d_model:
-                raise ValueError("attention block shape disagrees with config")
-        self.embed = embed
-        self.blocks = blocks
-        self.head = head
+    def __init__(self, layers, config: ModelConfig):
+        """A model of ``config`` from its linear layers in ``layer_specs``
+        order. A layer whose ``(c_in, c_out)`` is not the table's is a
+        ValueError naming it, as is a list of another length; both are
+        checked before any block is built."""
+        layers = list(layers)
+        for (name, _, shape), layer in zip(layer_specs(config), layers, strict=True):
+            if (layer.c_in, layer.c_out) != shape:
+                raise ValueError(f"{name}: shape {(layer.c_in, layer.c_out)}, "
+                                 f"expected {shape}")
+        it = iter(layers)
+        self.embed = next(it)
+        self.blocks = []
+        for _ in range(config.blocks):
+            heads = [AttentionHead(next(it), next(it), next(it))
+                     for _ in range(config.heads)]
+            self.blocks.append(MhsaBlock(heads, next(it)))
+        self.head = next(it)
         self.config = config
 
     def copy(self) -> "SkeletonModel":
@@ -99,50 +103,32 @@ def build_model(cfg: ModelConfig) -> SkeletonModel:
     in a fixed order from one seeded generator; biases start at zero.
     """
     rng = np.random.default_rng(cfg.seed)
-    shapes = {
-        GROUP_EMBED: (cfg.input_width, cfg.d_model),
-        GROUP_Q: (cfg.d_model, cfg.d_k),
-        GROUP_K: (cfg.d_model, cfg.d_k),
-        GROUP_V: (cfg.d_model, cfg.d_k),
-        GROUP_O: (cfg.heads * cfg.d_k, cfg.d_model),
-        GROUP_HEAD: (cfg.d_model, cfg.classes),
-    }
 
     def linear(fan_in, fan_out):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weight = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         return DenseLinear(weight, np.zeros(fan_out))
 
-    return _assemble(cfg, [linear(*shapes[group]) for _, group in layer_specs(cfg)])
+    return SkeletonModel([linear(*shape) for _, _, shape in layer_specs(cfg)], cfg)
 
 
 def layer_specs(cfg: ModelConfig):
-    """(name, group) of every linear layer, in canonical order.
-
-    The one table of the dotted layer names of weights files and parameter
-    keys (a block's part comes from ``MhsaBlock.projection_names``);
-    building, loading, listing and rebuilding a model all walk this
-    sequence.
+    """``(name, group, (c_in, c_out))`` of every linear layer, in canonical
+    order: the one table of the model's layers. It names the layers of
+    weights files and parameter keys (a block's part comes from
+    ``MhsaBlock.projection_names``) and fixes each one's outer shape from
+    the config; building, checking, loading, listing and rebuilding a model
+    all walk it.
     """
-    yield "embed", GROUP_EMBED
+    yield "embed", GROUP_EMBED, (cfg.input_width, cfg.d_model)
+    qkv = (cfg.d_model, cfg.d_k)
     for b in range(cfg.blocks):
         names = MhsaBlock.projection_names(cfg.heads)
-        groups = [GROUP_Q, GROUP_K, GROUP_V] * cfg.heads + [GROUP_O]
-        for name, group in zip(names, groups, strict=True):
-            yield f"blocks.{b}.{name}", group
-    yield "head", GROUP_HEAD
-
-
-def _assemble(cfg: ModelConfig, layers) -> SkeletonModel:
-    """Build a model from its linear layers given in ``layer_specs`` order."""
-    it = iter(layers)
-    embed = next(it)
-    blocks = []
-    for _ in range(cfg.blocks):
-        heads = [AttentionHead(next(it), next(it), next(it))
-                 for _ in range(cfg.heads)]
-        blocks.append(MhsaBlock(heads, next(it)))
-    return SkeletonModel(embed, blocks, next(it), cfg)
+        specs = [(GROUP_Q, qkv), (GROUP_K, qkv), (GROUP_V, qkv)] * cfg.heads
+        specs.append((GROUP_O, (cfg.d_model, cfg.d_model)))
+        for name, (group, shape) in zip(names, specs, strict=True):
+            yield f"blocks.{b}.{name}", group, shape
+    yield "head", GROUP_HEAD, (cfg.d_model, cfg.classes)
 
 
 def named_layers(model: SkeletonModel):
@@ -151,14 +137,14 @@ def named_layers(model: SkeletonModel):
     for block in model.blocks:
         layers += [layer for _, layer in block.named_projections()]
     layers.append(model.head)
-    return [(name, layer, group) for (name, group), layer
+    return [(name, layer, group) for (name, group, _), layer
             in zip(layer_specs(model.config), layers, strict=True)]
 
 
 def map_layers(model: SkeletonModel, fn) -> SkeletonModel:
     """Rebuild the model with ``fn(name, layer, group)`` replacing each
     linear layer; visits layers in ``named_layers`` order."""
-    return _assemble(model.config, [fn(*entry) for entry in named_layers(model)])
+    return SkeletonModel([fn(*entry) for entry in named_layers(model)], model.config)
 
 
 def named_params(model: SkeletonModel) -> dict:
@@ -381,11 +367,11 @@ def model_from_tensors(tensors: dict) -> SkeletonModel:
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
 
-    layers = [rebuild(name) for name, _ in layer_specs(cfg)]
+    layers = [rebuild(name) for name, _, _ in layer_specs(cfg)]
     extra = set(tensors) - consumed
     if extra:
         raise ValueError(f"unexpected tensors in weights file: {sorted(extra)}")
-    return _assemble(cfg, layers)
+    return SkeletonModel(layers, cfg)
 
 
 def save_model(path, model: SkeletonModel) -> None:

@@ -199,6 +199,29 @@ def test_unreadable_config_file_is_usage_error(tmp_path, capsys, content):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", ["[1, 2]", "3", '"epochs"', "null"])
+def test_config_file_that_is_not_a_json_object_is_usage_error(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    out = tmp_path / "d"
+    assert main(["gen", "--out", str(out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["usage error: config file must hold a JSON object"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "finetune"])
+def test_negative_warmup_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "m.lrts"
+    inputs = [str(tmp_path / "data")]
+    if command == "finetune":
+        inputs.insert(0, str(tmp_path / "none.lrts"))
+    assert main([command, *inputs, "--out", str(out), "--warmup", "-1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["usage error: warmup_epochs must be >= 0"]
+    assert not out.exists()
+
+
 def test_train_writes_weights_and_history(workspace):
     tmp_path, data, model = workspace
     history = tmp_path / "model.lrts.history.csv"
@@ -667,6 +690,34 @@ def test_info_rejects_file_that_would_not_round_trip(tmp_path, edit, message):
     assert message in err
 
 
+# Q/K projections that read 5 columns on a d_model 4 config: every command
+# that loads weights fails with one line naming the first layer at fault,
+# before it writes anything. Before, ``info`` and ``compress`` accepted the
+# file and ``sweep`` and ``finetune`` failed at their first forward.
+@pytest.mark.parametrize("command", ["info", "compress", "sweep", "finetune"])
+def test_layer_of_another_shape_than_its_config_fails_on_load(tmp_path, command):
+    assert _run_quietly(["gen", "--out", str(tmp_path / "data"), "--frames", "3",
+                         "--joints", "2", "--classes", "3", "--train-per-class", "2",
+                         "--test-per-class", "2"])[0] == 0
+    tensors = dict(FUZZ_BASE)
+    for head in range(2):
+        for proj in ("wq", "wk"):
+            tensors[f"blocks.0.heads.{head}.{proj}.weight"] = np.ones((5, 2))
+    write_weights(tmp_path / "bad.lrts", tensors)
+    (tmp_path / "g.txt").write_text("full\nq=1\n")
+    weights, data, out = (str(tmp_path / name) for name in ("bad.lrts", "data", "out"))
+    argv = {"info": ["info", weights],
+            "compress": ["compress", weights, "--plan", "q=1", "--out", out],
+            "sweep": ["sweep", weights, data, "--grid", str(tmp_path / "g.txt"),
+                      "--out", out],
+            "finetune": ["finetune", weights, data, "--out", out, "--epochs", "1"]}
+    before = _snapshot(tmp_path)
+    code, err = _run_quietly(argv[command])
+    _assert_one_error_line(code, err)
+    assert err.strip() == "error: blocks.0.heads.0.wq: shape (5, 2), expected (4, 2)"
+    assert _snapshot(tmp_path) == before
+
+
 # Weights files that parse but cannot hold a model: one tensor of another
 # shape (a bias of the right size but not 1-D among them), a factor pair of
 # a rank above min(C_in, C_out), or a config entry that disagrees with the
@@ -825,6 +876,12 @@ OVERWRITE_CASES = [
     (["train", "data", "--out", "c.json", "--config", "c.json", *SMALL_MODEL],
      "error: output path c.json would overwrite input c.json"),
     (["gen", "--out", "model.lrts", *SMALL_GEN],
+     "error: output directory model.lrts is not a directory"),
+    (["gen", "--out", "model.lrts/sub", *SMALL_GEN],
+     "error: output directory model.lrts is not a directory"),
+    (["gen", "--out", "model.lrts/sub/deeper", *SMALL_GEN],
+     "error: output directory model.lrts is not a directory"),
+    (["train", "data", "--out", "model.lrts/sub/t.lrts", *SMALL_MODEL, *SMALL_TRAIN],
      "error: output directory model.lrts is not a directory"),
 ]
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import weakref
 
 import numpy as np
@@ -67,6 +68,18 @@ def test_parse_plan_rejects_bad_tokens():
     for text in ("q", "q=x", "zz=3", "q=1,q=2", "q=1,,k=2", "q=-2"):
         with pytest.raises(PlanParseError):
             parse_plan(text)
+
+
+@pytest.mark.parametrize("ranks, message", [
+    ({"Q": 0}, "rank for Q must be a positive integer"),
+    ({"K": -3}, "rank for K must be a positive integer"),
+    ({"V": 1.5}, "rank for V must be a positive integer"),
+    ({"ZZ": 1}, "unknown layer groups: ['ZZ']"),
+    ({"q": 1, "O": 2}, "unknown layer groups: ['q']"),
+])
+def test_plan_rejects_bad_rank_or_unknown_group(ranks, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CompressionPlan(ranks)
 
 
 def test_parse_plan_error_mentions_position():

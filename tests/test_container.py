@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -50,6 +51,17 @@ def test_weights_write_rejects_nonfinite_and_leaves_no_file(tmp_path, bad):
     with pytest.raises(ValueError, match="'w'"):
         write_weights(path, tensors)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("name", ["x" * 0x10000, "\u00e9" * 0x8000],
+                         ids=["ascii", "two-byte-utf8"])
+def test_weights_write_rejects_a_name_too_long_and_leaves_no_file(tmp_path, name):
+    path = tmp_path / "w.lrts"
+    with pytest.raises(ValueError, match="tensor name too long"):
+        write_weights(path, {"ok": np.ones(1), name: np.ones(1)})
+    assert not path.exists()
+    write_weights(path, {"x" * 0xFFFF: np.ones(1)})
+    assert list(read_weights(path)) == ["x" * 0xFFFF]
 
 
 def test_weights_bad_magic(tmp_path):
@@ -139,6 +151,22 @@ def test_samples_write_rejects_nonfinite_and_leaves_no_file(tmp_path, bad):
                SkeletonSample(coords=coords, label=1)]
     path = tmp_path / "d.lrsk"
     with pytest.raises(ValueError, match="non-finite"):
+        write_samples(path, samples)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("coords, label, message", [
+    (np.zeros((4, 3, 2)), 0, "coords must be T x J x 3, got (4, 3, 2)"),
+    (np.zeros((4, 9)), 0, "coords must be T x J x 3, got (4, 9)"),
+    (np.zeros((4, 3, 3)), 2 ** 32, f"label {2 ** 32} out of u32 range"),
+    (np.zeros((4, 3, 3)), -1, "label -1 out of u32 range"),
+])
+def test_samples_write_rejects_bad_sample_and_leaves_no_file(tmp_path, coords, label,
+                                                             message):
+    samples = [SkeletonSample(coords=np.ones((4, 3, 3)), label=0),
+               SkeletonSample(coords=coords, label=label)]
+    path = tmp_path / "d.lrsk"
+    with pytest.raises(ValueError, match=re.escape(message)):
         write_samples(path, samples)
     assert not path.exists()
 

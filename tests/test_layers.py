@@ -244,6 +244,24 @@ def test_mhsa_rejects_mismatched_heads():
         MhsaBlock(heads, rand_dense(rng, 5, 6))
 
 
+def _heads(rng, shapes):
+    """One head per ``(d_model, d_k, d_v)``; wq, wk and wv read d_model."""
+    return [AttentionHead(rand_dense(rng, d, k), rand_dense(rng, d, k),
+                          rand_dense(rng, d, v)) for d, k, v in shapes]
+
+
+@pytest.mark.parametrize("shapes, wo_in, message", [
+    ([], 6, "need at least one head"),
+    ([(6, 3, 3), (6, 3, 2)], 6, "head 1 disagrees on d_v"),
+    ([(6, 3, 3), (5, 3, 3)], 6, "head 1 disagrees on d_model"),
+    ([(6, 3, 3), (6, 3, 3)], 5, "wo input width 5 != heads*d_v 6"),
+])
+def test_mhsa_rejects_heads_that_disagree(shapes, wo_in, message):
+    rng = np.random.default_rng(15)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MhsaBlock(_heads(rng, shapes), rand_dense(rng, wo_in, 6))
+
+
 def test_mhsa_rejects_input_of_the_wrong_width():
     block = make_block(np.random.default_rng(14), 6, 2, 3)
     with pytest.raises(ValueError, match=re.escape("input width 5 != d_model 6")):

@@ -1,4 +1,5 @@
 import math
+import re
 import weakref
 
 import numpy as np
@@ -10,6 +11,7 @@ from lrskel.layers import LowRankLinear
 from lrskel.linalg import (
     SvdConvergenceError,
     SvdResult,
+    as_matrix,
     frobenius,
     reconstruction_error,
     svd,
@@ -237,6 +239,25 @@ def test_truncate_rank_out_of_range():
             truncate_to_factors(s, bad)
     with pytest.raises(ValueError):
         reconstruction_error(s, 0)
+
+
+@pytest.mark.parametrize("a, message", [
+    (np.zeros((0, 3)), "m must have positive dimensions, got (0, 3)"),
+    (np.zeros((2, 0)), "m must have positive dimensions, got (2, 0)"),
+    (np.array([[1.0, np.nan]]), "m contains non-finite entries"),
+    (np.array([[np.inf], [0.0]]), "m contains non-finite entries"),
+])
+def test_as_matrix_rejects_empty_and_non_finite(a, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        as_matrix(a, "m")
+
+
+@pytest.mark.parametrize("k", [1.0, "1", None])
+def test_rank_must_be_an_integer(k):
+    s = svd(np.eye(3))
+    for check in (truncate_to_factors, reconstruction_error):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            check(s, k)
 
 
 def test_reconstruction_error_cases():

@@ -12,6 +12,7 @@ from lrskel.layers import DenseLinear, LowRankLinear, backward
 from lrskel.linalg import svd, truncate_to_factors
 from lrskel.model import (
     ModelConfig,
+    SkeletonModel,
     _config_tensor,
     backward_features,
     build_model,
@@ -59,6 +60,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(joints=1, frames=1, d_model=4, heads=1, blocks=-1,
                     classes=2, seed=0)
+
+
+@pytest.mark.parametrize("seed", [2 ** 64, 2 ** 70, -1])
+def test_config_seed_must_fit_64_bits(seed):
+    with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
+        ModelConfig(joints=1, frames=1, d_model=4, heads=1, blocks=1,
+                    classes=2, seed=seed)
 
 
 def test_build_determinism():
@@ -223,6 +231,12 @@ def test_cross_entropy_label_out_of_range():
         cross_entropy(np.zeros((2, 3)), [0, 3])
     with pytest.raises(ValueError):
         cross_entropy(np.zeros((2, 3)), [-1, 0])
+
+
+@pytest.mark.parametrize("labels", [[0], [0, 1, 2], []])
+def test_cross_entropy_needs_one_label_per_logit_row(labels):
+    with pytest.raises(ValueError, match=f"{len(labels)} labels for 2 logit rows"):
+        cross_entropy(np.zeros((2, 3)), labels)
 
 
 def test_cross_entropy_gradient_matches_finite_differences():
@@ -408,6 +422,18 @@ def _drop(tensors, *names):
         del tensors[name]
 
 
+def _resize(tensors, c_in, c_out, *layers):
+    """Give each dense layer a ``c_in x c_out`` weight and a ``c_out`` bias."""
+    for layer in layers:
+        tensors.update({f"{layer}.weight": np.ones((c_in, c_out)),
+                        f"{layer}.bias": np.zeros(c_out)})
+
+
+# Every dense projection of a TINY head (the V projections are low-rank).
+DENSE_QK = ("blocks.0.heads.0.wq", "blocks.0.heads.0.wk", "blocks.0.heads.1.wq",
+            "blocks.0.heads.1.wk")
+
+
 LOADER_CASES = {
     "w1_without_w2": (lambda t: _drop(t, f"{LV}.w2"),
                       f"layer {LV} has w1 but no w2"),
@@ -430,6 +456,20 @@ LOADER_CASES = {
                   f"{LV}: w1 must be 2-D, got ndim=3"),
     "non_finite_bias": (lambda t: t["head.bias"].__setitem__(0, np.inf),
                         "head: bias contains non-finite entries"),
+    # Each layer's outer shape is fixed by the config, not by its neighbours.
+    "qkv_reads_5_on_d_model_4": (lambda t: _resize(t, 5, 2, *DENSE_QK),
+                                 f"{LQ}: shape (5, 2), expected (4, 2)"),
+    "qkv_and_wo_agree_on_d_k_3": (
+        lambda t: (_resize(t, 4, 3, *DENSE_QK), _resize(t, 6, 4, "blocks.0.wo")),
+        f"{LQ}: shape (4, 3), expected (4, 2)"),
+    "one_head_d_k_1": (lambda t: _resize(t, 4, 1, "blocks.0.heads.1.wk"),
+                       "blocks.0.heads.1.wk: shape (4, 1), expected (4, 2)"),
+    "wo_reads_3": (lambda t: _resize(t, 3, 4, "blocks.0.wo"),
+                   "blocks.0.wo: shape (3, 4), expected (4, 4)"),
+    "embed_writes_5": (lambda t: _resize(t, 6, 5, "embed"),
+                       "embed: shape (6, 5), expected (6, 4)"),
+    "head_writes_2": (lambda t: _resize(t, 4, 2, "head"),
+                      "head: shape (4, 2), expected (4, 3)"),
 }
 
 
@@ -440,6 +480,14 @@ def test_loader_diagnostics(case):
     edit(tensors)
     with pytest.raises(ValueError, match=re.escape(message)):
         model_from_tensors(tensors)
+
+
+@pytest.mark.parametrize("drop, extra", [(1, 0), (0, 1), (4, 0)])
+def test_model_needs_one_layer_per_table_entry(drop, extra):
+    layers = [layer for _, layer, _ in named_layers(build_model(TINY))]
+    layers = layers[:len(layers) - drop] + layers[:extra]
+    with pytest.raises(ValueError):
+        SkeletonModel(layers, TINY)
 
 
 @pytest.mark.parametrize("index, value, entry", [
