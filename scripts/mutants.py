@@ -56,8 +56,8 @@ MUTANTS = (
      "        del decomp  # else it stays alive through the next layer's SVD",
      "        pass"),
     ("clip-check-bypassed", "model.py",
-     "    feats = [sample_features(s.coords, cfg) for s in samples]",
-     "    feats = [np.asarray(s.coords, dtype=np.float64).reshape("
+     "        feats = [sample_features(s.coords, cfg) for s in samples]",
+     "        feats = [np.asarray(s.coords, dtype=np.float64).reshape("
      "cfg.frames, cfg.input_width) for s in samples]"),
     ("label-range-off-by-one", "model.py", "labels.max() >= cfg.classes",
      "labels.max() > cfg.classes"),
@@ -67,8 +67,14 @@ MUTANTS = (
      "real.get(source) == real[path] and form != kind", "False"),
     ("gen-not-a-directory-bypassed", "cli.py",
      "        if parent and not os.path.isdir(parent):", "        if False:"),
-    ("layer-table-check-bypassed", "model.py",
-     "            if (layer.c_in, layer.c_out) != shape:", "            if False:"),
+    ("layer-table-check-bypassed", "layers.py",
+     "        if (layer.c_in, layer.c_out) != shape:", "        if False:"),
+    ("block-shape-check-bypassed", "layers.py",
+     "        check_shapes(zip(self.projection_names(n), shapes),",
+     "        (lambda *rows: None)(zip(self.projection_names(n), shapes),"),
+    ("config-integer-rule-dropped", "model.py",
+     "            if isinstance(value, bool) or not isinstance(value, numbers.Integral):",
+     "            if False:"),
 )
 
 

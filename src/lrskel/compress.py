@@ -46,7 +46,7 @@ class CompressionPlan:
                 k = ranks.pop(group)
                 if k is None:
                     continue
-                if not isinstance(k, (int, np.integer)) or k < 1:
+                if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
                     raise ValueError(f"rank for {group} must be a positive integer")
                 canon[group] = int(k)
         if ranks:

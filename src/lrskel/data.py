@@ -12,6 +12,7 @@ seeded with ``seed XOR TEST_STREAM_XOR`` so re-implementations agree.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,11 @@ class DatasetSpec:
 
     def __post_init__(self):
         for name in ("classes", "train_per_class", "test_per_class",
-                     "frames", "joints"):
-            if getattr(self, name) < 1:
+                     "frames", "joints", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.noise_sigma < np.inf:
             raise ValueError("noise_sigma must be finite and >= 0")

@@ -52,14 +52,13 @@ class TrainConfig:
             raise ValueError("base_lr must be non-negative")
         if not 0.0 < self.decay_factor <= 1.0:
             raise ValueError("decay_factor must be in (0, 1]")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.warmup_epochs < 0:
-            raise ValueError("warmup_epochs must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("warmup_epochs", 0),
+                          ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
         for prev, cur in zip(self.milestones, self.milestones[1:]):
             if cur <= prev:
                 raise ValueError("milestones must be strictly increasing")

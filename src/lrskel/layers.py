@@ -132,8 +132,6 @@ class _Linear:
         return self.forward_tape(x)[0]
 
     def forward_tape(self, x):
-        if x.shape[-1] != self.c_in:
-            raise ValueError(f"input width {x.shape[-1]} != C_in {self.c_in}")
         y, grad = _chain(self.factors, self.bias, x)
         return y, GradTape(grad, y.shape, self.params)
 
@@ -148,6 +146,15 @@ class _Linear:
 
     def flops(self, rows: int) -> int:
         return 2 * rows * sum(f.size for f in self.factors)
+
+
+def check_shapes(rows, layers):
+    """A ValueError naming the first layer whose ``(c_in, c_out)`` is not its
+    ``(name, shape)`` row of a shape table, or when the two differ in length."""
+    for (name, shape), layer in zip(rows, layers, strict=True):
+        if (layer.c_in, layer.c_out) != shape:
+            raise ValueError(f"{name}: shape {(layer.c_in, layer.c_out)}, "
+                             f"expected {shape}")
 
 
 class DenseLinear(_Linear):
@@ -295,31 +302,20 @@ class MhsaBlock:
     linear body: their first factors side by side and, when any projection
     has a second factor, one block-diagonal matrix of those (an identity
     block for a single-factor projection). One attention call runs on
-    ``(..., H, T, d_k)`` arrays. Every call rebuilds the chain from the live
+    ``(..., H, T, d)`` arrays. Every call rebuilds the chain from the live
     per-head arrays, so ``params()`` and in-place edits of ``heads`` stay
     authoritative; the backward splits the chain's gradients back per
     projection, in ``params()`` order."""
 
     def __init__(self, heads, wo):
-        heads = list(heads)
-        if not heads:
+        self.heads = list(heads)
+        if not self.heads:
             raise ValueError("need at least one head")
-        d_k = heads[0].wq.c_out
-        d_v = heads[0].wv.c_out
-        d_model = heads[0].wq.c_in
-        for i, h in enumerate(heads):
-            if h.wq.c_out != d_k or h.wk.c_out != d_k:
-                raise ValueError(f"head {i} disagrees on d_k")
-            if h.wv.c_out != d_v:
-                raise ValueError(f"head {i} disagrees on d_v")
-            if h.wq.c_in != d_model or h.wk.c_in != d_model or h.wv.c_in != d_model:
-                raise ValueError(f"head {i} disagrees on d_model")
-        if wo.c_in != len(heads) * d_v:
-            raise ValueError(
-                f"wo input width {wo.c_in} != heads*d_v {len(heads) * d_v}"
-            )
-        self.heads = heads
         self.wo = wo
+        n, wq = self.n_heads, self.heads[0].wq
+        shapes = self.projection_shapes(n, wq.c_in, wq.c_out)
+        check_shapes(zip(self.projection_names(n), shapes),
+                     [layer for _, layer in self.named_projections()])
 
     @property
     def n_heads(self) -> int:
@@ -328,10 +324,6 @@ class MhsaBlock:
     @property
     def d_k(self) -> int:
         return self.heads[0].wq.c_out
-
-    @property
-    def d_v(self) -> int:
-        return self.heads[0].wv.c_out
 
     @staticmethod
     @cache
@@ -342,6 +334,12 @@ class MhsaBlock:
         return tuple(f"heads.{i}.{attr}" for i in range(n_heads)
                      for attr in ("wq", "wk", "wv")) + ("wo",)
 
+    @staticmethod
+    def projection_shapes(n_heads, d_model, d) -> list:
+        """``(c_in, c_out)`` per ``projection_names`` entry: each wq, wk and wv
+        maps d_model to the one head width d, and wo maps H*d to d_model."""
+        return [(d_model, d)] * (3 * n_heads) + [(n_heads * d, d_model)]
+
     def named_projections(self):
         """(name, layer) for every projection, in ``projection_names`` order."""
         layers = [p for h in self.heads for p in (h.wq, h.wk, h.wv)] + [self.wo]
@@ -351,31 +349,27 @@ class MhsaBlock:
         return self.forward_tape(x)[0]
 
     def forward_tape(self, x):
-        if x.shape[-1] != self.heads[0].wq.c_in:
-            raise ValueError(
-                f"input width {x.shape[-1]} != d_model {self.heads[0].wq.c_in}")
+        n, d = self.n_heads, self.d_k
         # ``layout``: (layer, first-factor columns, output columns), group order.
         projections = [getattr(h, attr) for attr in ("wq", "wk", "wv")
                        for h in self.heads]
-        layout, a, o = [], 0, 0
-        for p in projections:
+        layout, a = [], 0
+        for j, p in enumerate(projections):
             r = p.factors[0].shape[1]
-            layout.append((p, slice(a, a + r), slice(o, o + p.c_out)))
-            a, o = a + r, o + p.c_out
+            layout.append((p, slice(a, a + r), slice(j * d, (j + 1) * d)))
+            a += r
         factors = (np.concatenate([p.factors[0] for p in projections], axis=1),)
         if any(len(p.factors) > 1 for p in projections):
-            second = np.zeros((a, o))
+            second = np.zeros((a, 3 * n * d))
             for p, cols, outs in layout:
-                second[cols, outs] = p.factors[1] if len(p.factors) > 1 else np.eye(p.c_out)
+                second[cols, outs] = p.factors[1] if len(p.factors) > 1 else np.eye(d)
             factors += (second,)
         bias = None
         if any(p.bias is not None for p in projections):
-            bias = np.concatenate([np.zeros(p.c_out) if p.bias is None else p.bias
+            bias = np.concatenate([np.zeros(d) if p.bias is None else p.bias
                                    for p in projections])
         qkv, chain_grad = _chain(factors, bias, x)
-        n, d_k = self.n_heads, self.d_k
-        q, k, v = (_split_heads(a, n)
-                   for a in np.split(qkv, [n * d_k, 2 * n * d_k], axis=-1))
+        q, k, v = np.split(_split_heads(qkv, 3 * n), 3, axis=-3)
         heads_out, ta = attention_forward_tape(q, k, v)
         y, to = self.wo.forward_tape(_merge_heads(heads_out))
 
@@ -385,7 +379,7 @@ class MhsaBlock:
             # The chain's gradients: first factor, then the second factor and
             # the bias when any projection has one.
             grad_in, (first, *rest) = chain_grad(
-                np.concatenate([_merge_heads(g) for g in grad_qkv], axis=-1))
+                _merge_heads(np.concatenate(grad_qkv, axis=-3)))
             grads = []
             for p, cols, outs in (layout[g * n + i] for i in range(n) for g in range(3)):
                 grads.append(first[:, cols])

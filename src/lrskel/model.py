@@ -14,6 +14,7 @@ so compression and fine-tuning are sibling modules over this one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import container
 from .layers import (AttentionHead, DenseLinear, GradTape, LowRankLinear,
-                     MhsaBlock, backward, backward_list)
+                     MhsaBlock, backward, backward_list, check_shapes)
 from .linalg import as_matrix
 
 # Layer group tags used by compression plans.
@@ -50,11 +51,14 @@ class ModelConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("joints", "frames", "d_model", "heads", "classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.blocks < 0:
-            raise ValueError("blocks must be >= 0")
+        # The seed's range has its own check below.
+        for name, low in (("joints", 1), ("frames", 1), ("d_model", 1), ("heads", 1),
+                          ("blocks", 0), ("classes", 1), ("seed", None)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if low is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.d_model % self.heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}"
@@ -78,10 +82,7 @@ class SkeletonModel:
         ValueError naming it, as is a list of another length; both are
         checked before any block is built."""
         layers = list(layers)
-        for (name, _, shape), layer in zip(layer_specs(config), layers, strict=True):
-            if (layer.c_in, layer.c_out) != shape:
-                raise ValueError(f"{name}: shape {(layer.c_in, layer.c_out)}, "
-                                 f"expected {shape}")
+        check_shapes(((name, shape) for name, _, shape in layer_specs(config)), layers)
         it = iter(layers)
         self.embed = next(it)
         self.blocks = []
@@ -115,18 +116,17 @@ def build_model(cfg: ModelConfig) -> SkeletonModel:
 def layer_specs(cfg: ModelConfig):
     """``(name, group, (c_in, c_out))`` of every linear layer, in canonical
     order: the one table of the model's layers. It names the layers of
-    weights files and parameter keys (a block's part comes from
-    ``MhsaBlock.projection_names``) and fixes each one's outer shape from
-    the config; building, checking, loading, listing and rebuilding a model
-    all walk it.
+    weights files and parameter keys and fixes each one's outer shape from
+    the config (a block's part comes from ``MhsaBlock.projection_names`` and
+    ``projection_shapes``); building, checking, loading, listing and
+    rebuilding a model all walk it.
     """
     yield "embed", GROUP_EMBED, (cfg.input_width, cfg.d_model)
-    qkv = (cfg.d_model, cfg.d_k)
     for b in range(cfg.blocks):
         names = MhsaBlock.projection_names(cfg.heads)
-        specs = [(GROUP_Q, qkv), (GROUP_K, qkv), (GROUP_V, qkv)] * cfg.heads
-        specs.append((GROUP_O, (cfg.d_model, cfg.d_model)))
-        for name, (group, shape) in zip(names, specs, strict=True):
+        groups = [GROUP_Q, GROUP_K, GROUP_V] * cfg.heads + [GROUP_O]
+        shapes = MhsaBlock.projection_shapes(cfg.heads, cfg.d_model, cfg.d_k)
+        for name, group, shape in zip(names, groups, shapes, strict=True):
             yield f"blocks.{b}.{name}", group, shape
     yield "head", GROUP_HEAD, (cfg.d_model, cfg.classes)
 
@@ -236,10 +236,13 @@ def forward(model: SkeletonModel, samples) -> np.ndarray:
 def check_clips(samples, cfg: ModelConfig, what="evaluation set"):
     """``(feats, labels)`` for a list of labelled clips, checked here and
     nowhere else: T x 3J feature matrices and one int64 label array. An empty
-    list or a label outside ``[0, classes)`` is a ValueError naming ``what``."""
+    list, a bad clip or a label out of [0, classes) is a ValueError naming ``what``."""
     if not samples:
         raise ValueError(f"empty {what}")
-    feats = [sample_features(s.coords, cfg) for s in samples]
+    try:
+        feats = [sample_features(s.coords, cfg) for s in samples]
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {what}") from None
     labels = np.array([s.label for s in samples], dtype=np.int64)
     if labels.min() < 0 or labels.max() >= cfg.classes:
         raise ValueError(f"label out of range [0, {cfg.classes}) in {what}")
@@ -301,13 +304,13 @@ def count_params(model: SkeletonModel) -> int:
 def count_flops(model: SkeletonModel, frames: int) -> int:
     """Forward FLOPs for one sample of ``frames`` rows, two per
     multiply-accumulate. Counts the linear layers (the head on its one
-    pooled row), the two attention matrix products per head (2*T^2*d_k and
-    2*T^2*d_v) and softmax at five ops per element of the T x T weight
-    matrix; pooling and residual adds are not counted."""
+    pooled row), the two attention matrix products per head (2*T^2*d_k
+    each) and softmax at five ops per element of the T x T weight matrix;
+    pooling and residual adds are not counted."""
     total = sum(layer.flops(1 if group == GROUP_HEAD else frames)
                 for _, layer, group in named_layers(model))
     for block in model.blocks:
-        total += block.n_heads * frames * frames * (2 * block.d_k + 2 * block.d_v + 5)
+        total += block.n_heads * frames * frames * (4 * block.d_k + 5)
     return total
 
 

@@ -653,7 +653,8 @@ def test_info_rejects_bad_config_entry(tmp_path, capsys, value):
 
 TINY_CFG = ModelConfig(joints=2, frames=3, d_model=4, heads=2, blocks=1,
                        classes=3, seed=0)
-# TINY_CFG with one low-rank projection, so factor pairs are fuzzed too.
+# TINY_CFG with plan v=1, so every head's wv is low-rank and factor pairs are
+# fuzzed too; LOWRANK names the first of them.
 LOWRANK = "blocks.0.heads.0.wv"
 FUZZ_BASE = model_to_tensors(compress_model(build_model(TINY_CFG), parse_plan("v=1"))[0])
 

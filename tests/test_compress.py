@@ -76,6 +76,7 @@ def test_parse_plan_rejects_bad_tokens():
     ({"V": 1.5}, "rank for V must be a positive integer"),
     ({"ZZ": 1}, "unknown layer groups: ['ZZ']"),
     ({"q": 1, "O": 2}, "unknown layer groups: ['q']"),
+    ({"Q": True}, "rank for Q must be a positive integer"),
 ])
 def test_plan_rejects_bad_rank_or_unknown_group(ranks, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -377,6 +378,8 @@ def test_rank_sweep_checks_every_plan_before_any_svd(trained_toy, monkeypatch):
          "non-finite"),
         (m, test[:3] + [SkeletonSample(test[0].coords, m.config.classes)], ["q=1"],
          r"label out of range \[0, 4\) in evaluation set"),
+        (m, test[:3] + [SkeletonSample(test[0].coords[:-1], 0)], ["q=1"],
+         r"coords shape \(7, 3, 3\), expected \(8, 3, 3\) in evaluation set"),
     )
     for model, samples, texts, message in cases:
         calls.clear()

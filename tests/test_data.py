@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,16 @@ def test_spec_validation():
             DatasetSpec(noise_sigma=noise)
     with pytest.raises(ValueError):
         DatasetSpec(seed=-1)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("classes", 2.5), ("train_per_class", 3.0), ("test_per_class", "2"),
+    ("frames", True), ("joints", None), ("seed", 1.5),
+])
+def test_spec_counts_must_be_integers(name, value):
+    # frames=True used to make 1-frame clips; classes=2.5 a raw TypeError.
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        DatasetSpec(**{name: value})
 
 
 def test_counts_and_balance():

@@ -89,6 +89,16 @@ def test_config_validation():
         TrainConfig(base_lr=0.1, epochs=5, batch_size=0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("epochs", 2.5), ("epochs", True), ("batch_size", 2.0), ("warmup_epochs", 0.5),
+    ("seed", 1.5),
+])
+def test_counts_must_be_integers(name, value):
+    # warmup_epochs=0.5 used to train epoch 0 at twice base_lr.
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        TrainConfig(**{"base_lr": 0.1, "epochs": 1, name: value})
+
+
 @pytest.mark.parametrize("entry", [1.9, "2", True, float("inf"), float("nan"), None])
 def test_milestones_must_be_integers(entry):
     # int() alone would turn 1.9 into 1, '2' into 2 and True into 1.

@@ -44,12 +44,6 @@ def test_dense_matches_naive_loops():
     assert np.abs(layer.forward(x) - naive_matmul(x, layer.weight)).max() < 1e-12
 
 
-def test_dense_shape_mismatch():
-    layer = DenseLinear(np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        layer.forward(np.ones((4, 4)))
-
-
 def test_lowrank_full_rank_matches_dense():
     rng = np.random.default_rng(3)
     dense = rand_dense(rng, 6, 4)
@@ -252,9 +246,9 @@ def _heads(rng, shapes):
 
 @pytest.mark.parametrize("shapes, wo_in, message", [
     ([], 6, "need at least one head"),
-    ([(6, 3, 3), (6, 3, 2)], 6, "head 1 disagrees on d_v"),
-    ([(6, 3, 3), (5, 3, 3)], 6, "head 1 disagrees on d_model"),
-    ([(6, 3, 3), (6, 3, 3)], 5, "wo input width 5 != heads*d_v 6"),
+    ([(6, 3, 3), (6, 3, 2)], 6, "heads.1.wv: shape (6, 2), expected (6, 3)"),
+    ([(6, 3, 3), (5, 3, 3)], 6, "heads.1.wq: shape (5, 3), expected (6, 3)"),
+    ([(6, 3, 3), (6, 3, 3)], 5, "wo: shape (5, 6), expected (6, 6)"),
 ])
 def test_mhsa_rejects_heads_that_disagree(shapes, wo_in, message):
     rng = np.random.default_rng(15)
@@ -262,10 +256,15 @@ def test_mhsa_rejects_heads_that_disagree(shapes, wo_in, message):
         MhsaBlock(_heads(rng, shapes), rand_dense(rng, wo_in, 6))
 
 
-def test_mhsa_rejects_input_of_the_wrong_width():
-    block = make_block(np.random.default_rng(14), 6, 2, 3)
-    with pytest.raises(ValueError, match=re.escape("input width 5 != d_model 6")):
-        block.forward(np.ones((4, 5)))
+@pytest.mark.parametrize("make, width", [
+    (lambda rng: DenseLinear(np.ones((3, 2))), 4),
+    (lambda rng: rand_lowrank(rng, 3, 2, 1), 4),
+    (lambda rng: make_block(rng, 6, 2, 3), 5),
+], ids=["DenseLinear", "LowRankLinear", "MhsaBlock"])
+def test_layer_rejects_input_of_the_wrong_width(make, width):
+    layer = make(np.random.default_rng(14))
+    with pytest.raises(ValueError):
+        layer.forward(np.ones((4, width)))
 
 
 def test_mhsa_full_rank_replacement_keeps_forward():
@@ -417,9 +416,9 @@ def per_head_reference(block, x, grad_out):
         outs.append(out)
     y, to = block.wo.forward_tape(np.concatenate(outs, axis=-1))
     grad_concat, wo_grads = backward(to, grad_out)
-    layer_grads, grad_x, d_v = [], None, block.d_v
+    layer_grads, grad_x, d = [], None, block.d_k
     for i, (tq, tk, tv, ta) in enumerate(head_tapes):
-        (gq, gk, gv), _ = backward(ta, grad_concat[..., i * d_v:(i + 1) * d_v])
+        (gq, gk, gv), _ = backward(ta, grad_concat[..., i * d:(i + 1) * d])
         gx_q, q_grads = backward(tq, gq)
         gx_k, k_grads = backward(tk, gk)
         gx_v, v_grads = backward(tv, gv)
@@ -450,15 +449,15 @@ def _projection(rng, spec, c_in, c_out):
     return rand_lowrank(rng, c_in, c_out, abs(spec), bias=spec > 0)
 
 
-def spec_block(rng, specs, d_model=6, d_k=3, d_v=3, wo="d"):
+def spec_block(rng, specs, d_model=6, d_k=3, wo="d"):
     """A block whose head i has projections ``specs[i] = (q, k, v)``."""
     heads = [
         AttentionHead(_projection(rng, q, d_model, d_k),
                       _projection(rng, k, d_model, d_k),
-                      _projection(rng, v, d_model, d_v))
+                      _projection(rng, v, d_model, d_k))
         for q, k, v in specs
     ]
-    return MhsaBlock(heads, _projection(rng, wo, len(specs) * d_v, d_model))
+    return MhsaBlock(heads, _projection(rng, wo, len(specs) * d_k, d_model))
 
 
 def _assert_relative(got, want, scale=None):
@@ -495,7 +494,6 @@ STACK_CASES = {
     "mixed_in_group": dict(specs=[("d", 2, "d"), (1, "d", 3), ("d", "d", 1)]),
     "no_bias": dict(specs=[("d-", "d-", "d-")] * 2, wo="d-"),
     "some_bias": dict(specs=[("d", -1, "d-"), (2, "d-", -3)]),
-    "d_v_differs": dict(specs=[("d", 1, 2), (2, "d", "d")], d_k=2, d_v=4),
 }
 
 

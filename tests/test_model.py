@@ -62,6 +62,17 @@ def test_config_validation():
                     classes=2, seed=0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("joints", 2.0), ("frames", 3.5), ("d_model", "4"), ("heads", True),
+    ("blocks", None), ("classes", 2.5), ("seed", 1.5),
+])
+def test_config_sizes_must_be_integers(name, value):
+    # frames=3.5 used to build and save a file that load_model rejects.
+    fields = dict(joints=1, frames=1, d_model=4, heads=1, blocks=1, classes=2, seed=0)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        ModelConfig(**{**fields, name: value})
+
+
 @pytest.mark.parametrize("seed", [2 ** 64, 2 ** 70, -1])
 def test_config_seed_must_fit_64_bits(seed):
     with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
@@ -411,8 +422,8 @@ def test_seed_survives_round_trip(tmp_path):
     assert load_model(path).config.seed == big_seed
 
 
-# The loader-diagnostic cases run on TINY with one low-rank projection (LV)
-# beside dense ones (LQ).
+# The loader-diagnostic cases run on TINY with plan v=1: every head's wv is
+# low-rank (LV names the first) beside dense wq/wk (LQ).
 LV = "blocks.0.heads.0.wv"
 LQ = "blocks.0.heads.0.wq"
 
