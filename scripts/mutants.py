@@ -75,6 +75,12 @@ MUTANTS = (
     ("config-integer-rule-dropped", "model.py",
      "            if isinstance(value, bool) or not isinstance(value, numbers.Integral):",
      "            if False:"),
+    ("sweep-child-offset-swapped", "compress.py",
+     "pickle.dump(_stride(fn, items, w, width), out)",
+     "pickle.dump(_stride(fn, items, width - w, width), out)"),
+    ("sweep-last-failure-raised", "compress.py",
+     "raise min(failures, key=lambda failure: failure[0])[1]",
+     "raise max(failures, key=lambda failure: failure[0])[1]"),
 )
 
 

@@ -5,11 +5,15 @@ every dense layer of a ranked group with the cascaded factor pair from its
 truncated SVD, leaves everything else byte-identical, and accounts for the
 parameter, FLOP, and reconstruction-error cost of the whole model. One plan
 or a sweep's grid, each ranked layer is decomposed once and truncated once
-per rank. A sweep scores raw top-1 with ``model.top1_scorer``.
+per rank. A sweep scores raw top-1 with ``model.top1_scorer``, its plans
+spread over the CPUs the process may run on.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,7 +243,9 @@ def rank_sweep(model: SkeletonModel, test_samples, grid) -> list:
     Every plan and every test clip is checked before any SVD runs. Each
     ranked layer is then decomposed once per sweep, and that one SVD is
     truncated once per rank the grid gives its group. Plans that share a
-    (layer, rank) share its truncated layer.
+    (layer, rank) share its truncated layer. The plans are then scored on
+    one worker per CPU of the affinity mask (see ``_map_forked``), with the
+    rows and errors of a serial run.
     """
     if not grid:
         raise ValueError("empty plan grid")
@@ -247,11 +253,77 @@ def rank_sweep(model: SkeletonModel, test_samples, grid) -> list:
         check_plan(model, plan)
     top1 = top1_scorer(test_samples, model.config)
     truncations = _truncations(model, grid)
-    rows = []
-    for plan in grid:
+
+    def row(plan):
         compressed, report = _compress(model, plan, truncations)
-        rows.append(SweepRow(plan.render(), report.params_after, top1(compressed)))
-    return rows
+        return SweepRow(plan.render(), report.params_after, top1(compressed))
+
+    return _map_forked(row, grid)
+
+
+def _map_forked(fn, items) -> list:
+    """``[fn(x) for x in items]`` on W = min(CPUs in the affinity mask,
+    len(items)) workers: the caller takes items 0, W, 2W, ... and each of
+    W - 1 forked children takes w, w + W, ... and pipes back one pickled
+    ``_stride``. Fork, not spawn, so that children share the caller's
+    truncations without a re-import or a copy. A failure raises the
+    exception of the lowest failing index, as the serial loop would; a
+    child that exits without its payload is a RuntimeError. No child
+    outlives the call."""
+    width = (min(len(os.sched_getaffinity(0)), len(items))
+             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    pids, ends, payloads = [], [], []
+    try:
+        for w in range(1, width):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child never returns into the caller's stack
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as out:
+                        pickle.dump(_stride(fn, items, w, width), out)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            pids.append(pid)
+            ends.append(read_end)
+        parts = [_stride(fn, items, 0, width)]
+        for end in ends:
+            with open(end, "rb", closefd=False) as fh:
+                payloads.append(fh.read())
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for end in ends:
+            os.close(end)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for payload, code in zip(payloads, codes):
+        if code:
+            raise RuntimeError(f"a sweep worker ended without its rows (exit status {code})")
+        parts.append(pickle.loads(payload))
+    failures = [failure for _, failure in parts if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    out = [None] * len(items)
+    for w, (results, _) in enumerate(parts):
+        out[w::width] = results
+    return out
+
+
+def _stride(fn, items, start, step):
+    """``fn`` over ``items[start::step]``, stopping at the first that
+    raises: ``(results, failure)``, where ``failure`` is ``(index,
+    exception)`` or None."""
+    results = []
+    for i in range(start, len(items), step):
+        try:
+            results.append(fn(items[i]))
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
 
 
 def sweep_to_csv(rows) -> str:

@@ -50,6 +50,8 @@ class DatasetSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if name != "seed" and value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if isinstance(self.noise_sigma, bool):
+            raise ValueError(f"noise_sigma must be a number, got {self.noise_sigma!r}")
         if not 0.0 <= self.noise_sigma < np.inf:
             raise ValueError("noise_sigma must be finite and >= 0")
         if not 0 <= self.seed < _MAX_SEED:

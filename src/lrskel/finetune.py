@@ -48,6 +48,9 @@ class TrainConfig:
                     isinstance(m, numbers.Real) and float(m).is_integer())):
                 raise ValueError(f"milestones entry {m!r} is not an integer")
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
+        for name in ("base_lr", "decay_factor"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not self.base_lr >= 0.0:
             raise ValueError("base_lr must be non-negative")
         if not 0.0 < self.decay_factor <= 1.0:

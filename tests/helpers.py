@@ -1,6 +1,10 @@
-"""Shared test oracles: finite differences and naive reference code."""
+"""Shared test oracles (finite differences, naive reference code) and
+hooks into a sweep's forked workers."""
+
+import os
 
 import numpy as np
+import pytest
 
 from lrskel import compress
 
@@ -60,3 +64,36 @@ def counting_svd(monkeypatch):
 
     monkeypatch.setattr(compress, "svds", counted)
     return calls
+
+
+def forced_cpus(monkeypatch, n):
+    """Give the process an affinity mask of ``n`` CPUs, so a sweep scores
+    its plans on up to ``n`` workers; returns the list that records each
+    ``os.fork`` the caller makes."""
+    forks, real = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def hooked_compress(monkeypatch, hook):
+    """Call ``hook(plan_text, in_child)`` before a sweep builds each plan's
+    model; ``in_child`` is true in a forked worker."""
+    caller, real = os.getpid(), compress._compress
+
+    def hooked(model, plan, truncations):
+        hook(plan.render(), os.getpid() != caller)
+        return real(model, plan, truncations)
+
+    monkeypatch.setattr(compress, "_compress", hooked)
+
+
+def assert_no_children():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -4,7 +4,10 @@ import io
 import json
 import os
 import shutil
+import signal
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import counting_svd
+from helpers import assert_no_children, counting_svd, forced_cpus, hooked_compress
 from lrskel import cli
 from lrskel.cli import (COMPRESS_DEFAULTS, FINETUNE_DEFAULTS, GEN_DEFAULTS,
                         MODEL_DEFAULTS, TRAIN_DEFAULTS, build_parser, main)
@@ -533,6 +536,65 @@ def test_sweep_grid(workspace, capsys):
     for line in lines[1:]:
         cells = line.split(",")
         assert int(cells[1]) > 0
+
+
+def _fail_in_child(text, in_child):
+    if in_child and text == "v=2":
+        raise ValueError("logits contain non-finite entries")
+
+
+def _die_in_child(text, in_child):
+    if in_child and text == "v=2":
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("hook, message", [
+    (_fail_in_child, "error: logits contain non-finite entries"),
+    (_die_in_child, "error: a sweep worker ended without its rows (exit status -9)"),
+])
+def test_sweep_failure_in_a_worker_writes_nothing(workspace, capsys, monkeypatch,
+                                                 hook, message):
+    tmp_path, data, model = workspace
+    grid = tmp_path / "grid.txt"
+    grid.write_text("full\nv=3\nv=2\nv=1\n")  # v=2 is the second child's
+    out = tmp_path / "s.csv"
+    forced_cpus(monkeypatch, 3)
+    hooked_compress(monkeypatch, hook)
+    assert main(["sweep", str(model), str(data), "--grid", str(grid),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [message]
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["config"]
+    assert not out.exists()
+    assert_no_children()
+
+
+def test_sweep_on_a_pipe_prints_each_line_once(workspace):
+    # Three workers whatever the machine. The "config:" line sits in
+    # stdout's block buffer at each fork, so a child that flushed it on
+    # exit would print it again.
+    tmp_path, data, model = workspace
+    grid = tmp_path / "grid.txt"
+    grid.write_text("full\nv=3\nv=2\nv=1\n")
+    out = tmp_path / "s.csv"
+    script = ("import os, sys\n"
+              "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+              "from lrskel.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "sweep", str(model), str(data),
+         "--grid", str(grid), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = out.read_text().strip().split("\n")[1:]
+    expected = [proc.stdout.splitlines()[0]] + [
+        f"{plan}: params={params} top1={float(top1):.4f}"
+        for plan, params, top1 in (row.split(",") for row in rows)
+    ] + [f"wrote {out}"]
+    assert proc.stdout.splitlines() == expected
+    assert [line.split(":")[0] for line in expected] == [
+        "config", "full", "v=3", "v=2", "v=1", "wrote " + str(out)]
 
 
 def test_sweep_reads_only_the_test_split(workspace):

@@ -1,5 +1,8 @@
 import hashlib
+import os
 import re
+import signal
+import time
 import weakref
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import counting_svd
+from helpers import assert_no_children, counting_svd, forced_cpus, hooked_compress
 from lrskel import compress
 from lrskel.compress import (
     CompressionPlan,
@@ -386,6 +389,96 @@ def test_rank_sweep_checks_every_plan_before_any_svd(trained_toy, monkeypatch):
         with pytest.raises(ValueError, match=message):
             rank_sweep(model, samples, [parse_plan(t) for t in texts])
         assert calls == []
+
+
+# Nine plans whose top-1s on trained_toy all differ, so a row placed at
+# another plan's index shows. With 3 workers, the caller takes indices
+# 0, 3, 6, the first child 1, 4, 7 and the second 2, 5, 8.
+DISTINCT_GRID = ("full", "q=1", "k=1", "v=1", "v=2", "v=3", "o=1", "o=4", "head=1")
+
+
+@pytest.mark.parametrize("cpus, forks", [(1, 0), (3, 2), (12, 8)])
+def test_rank_sweep_rows_do_not_depend_on_the_worker_count(trained_toy, monkeypatch,
+                                                          cpus, forks):
+    m, test = trained_toy
+    grid = [parse_plan(t) for t in DISTINCT_GRID]
+    expected = per_plan_rows(m, test, grid)
+    assert len({row.top1 for row in expected}) == len(grid)
+    calls = forced_cpus(monkeypatch, cpus)
+    assert rank_sweep(m, test, grid) == expected
+    assert len(calls) == forks  # at most one worker per plan
+    assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_rank_sweep_raises_the_serial_runs_first_failure(trained_toy, monkeypatch, cpus):
+    # Failures at index 2 (second child), 4 (first child) and 6 (caller):
+    # every worker stops at its own first one, and index 2's is raised.
+    m, test = trained_toy
+    failures = {"k=1": ValueError("logits contain non-finite entries"),
+                "v=2": FloatingPointError("overflow in v=2"),
+                "o=1": ZeroDivisionError("o=1")}
+
+    def fail(text, in_child):
+        if text in failures:
+            raise failures[text]
+
+    forced_cpus(monkeypatch, cpus)
+    hooked_compress(monkeypatch, fail)
+    with pytest.raises(ValueError) as info:
+        rank_sweep(m, test, [parse_plan(t) for t in DISTINCT_GRID])
+    assert type(info.value) is ValueError
+    assert str(info.value) == "logits contain non-finite entries"
+    assert_no_children()
+
+
+def test_rank_sweep_child_that_is_killed_is_a_runtime_error(trained_toy, monkeypatch):
+    m, test = trained_toy
+
+    def die(text, in_child):
+        if in_child and text == "q=1":
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    forced_cpus(monkeypatch, 3)
+    hooked_compress(monkeypatch, die)
+    with pytest.raises(RuntimeError, match=re.escape(
+            "a sweep worker ended without its rows (exit status -9)")):
+        rank_sweep(m, test, [parse_plan(t) for t in DISTINCT_GRID])
+    assert_no_children()
+
+
+def test_rank_sweep_child_leaves_through_exit_on_base_exception(trained_toy, monkeypatch):
+    # An interrupt is no plan failure. A child that let it unwind would
+    # return into this test's stack and run the rest of the suite.
+    m, test = trained_toy
+
+    def interrupt(text, in_child):
+        if in_child and text == "q=1":
+            raise KeyboardInterrupt
+
+    forced_cpus(monkeypatch, 3)
+    hooked_compress(monkeypatch, interrupt)
+    with pytest.raises(RuntimeError, match=re.escape("(exit status 1)")):
+        rank_sweep(m, test, [parse_plan(t) for t in DISTINCT_GRID])
+    assert_no_children()
+
+
+def test_rank_sweep_interrupted_caller_kills_and_reaps_its_children(trained_toy,
+                                                                   monkeypatch):
+    m, test = trained_toy
+
+    def hang_or_interrupt(text, in_child):
+        if in_child:
+            time.sleep(120)
+        raise KeyboardInterrupt
+
+    forced_cpus(monkeypatch, 3)
+    hooked_compress(monkeypatch, hang_or_interrupt)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        rank_sweep(m, test, [parse_plan(t) for t in DISTINCT_GRID])
+    assert time.monotonic() - start < 60
+    assert_no_children()
 
 
 def test_sweep_csv(trained_toy):

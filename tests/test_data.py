@@ -39,6 +39,12 @@ def test_spec_counts_must_be_integers(name, value):
         DatasetSpec(**{name: value})
 
 
+def test_noise_must_not_be_a_bool():
+    # noise_sigma=True used to build with noise 1.0.
+    with pytest.raises(ValueError, match=re.escape("noise_sigma must be a number, got True")):
+        DatasetSpec(noise_sigma=True)
+
+
 def test_counts_and_balance():
     spec = DatasetSpec(classes=2, train_per_class=10, test_per_class=10,
                        frames=8, joints=2, seed=0)

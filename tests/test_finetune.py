@@ -99,6 +99,13 @@ def test_counts_must_be_integers(name, value):
         TrainConfig(**{"base_lr": 0.1, "epochs": 1, name: value})
 
 
+@pytest.mark.parametrize("name", ["base_lr", "decay_factor"])
+def test_rates_must_not_be_bools(name):
+    # base_lr=True used to train at lr 1, decay_factor=True with no decay.
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got True")):
+        TrainConfig(**{"base_lr": 0.1, "epochs": 1, name: True})
+
+
 @pytest.mark.parametrize("entry", [1.9, "2", True, float("inf"), float("nan"), None])
 def test_milestones_must_be_integers(entry):
     # int() alone would turn 1.9 into 1, '2' into 2 and True into 1.
