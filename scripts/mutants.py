@@ -72,15 +72,22 @@ MUTANTS = (
     ("block-shape-check-bypassed", "layers.py",
      "        check_shapes(zip(self.projection_names(n), shapes),",
      "        (lambda *rows: None)(zip(self.projection_names(n), shapes),"),
-    ("config-integer-rule-dropped", "model.py",
-     "            if isinstance(value, bool) or not isinstance(value, numbers.Integral):",
-     "            if False:"),
+    ("config-integer-rule-dropped", "linalg.py",
+     "    if isinstance(value, bool) or not isinstance(value, numbers.Integral):",
+     "    if False:"),
+    ("integer-rule-accepts-bool", "linalg.py",
+     "isinstance(value, bool) or not isinstance(value, numbers.Integral)",
+     "not isinstance(value, numbers.Integral)"),
     ("sweep-child-offset-swapped", "compress.py",
-     "pickle.dump(_stride(fn, items, w, width), out)",
-     "pickle.dump(_stride(fn, items, width - w, width), out)"),
+     "pickle.dump(_stride(fn, items, w, width, caller), out)",
+     "pickle.dump(_stride(fn, items, width - w, width, caller), out)"),
     ("sweep-last-failure-raised", "compress.py",
      "raise min(failures, key=lambda failure: failure[0])[1]",
      "raise max(failures, key=lambda failure: failure[0])[1]"),
+    ("sweep-fork-failure-raises", "compress.py",
+     "raise _ForkFailed from exc", "raise"),
+    ("sweep-orphan-check-skipped", "compress.py",
+     "if parent is not None and os.getppid() != parent:", "if False:"),
 )
 
 

@@ -14,14 +14,13 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import threading
 from dataclasses import dataclass
-
-import numpy as np
 
 from .container import csv_text
 from .layers import LowRankLinear
-from .linalg import (SvdConvergenceError, frobenius, reconstruction_error, svds,
-                     truncate_to_factors)
+from .linalg import (SvdConvergenceError, check_integer, frobenius,
+                     reconstruction_error, svds, truncate_to_factors)
 from .model import (GROUP_EMBED, GROUP_HEAD, GROUP_K, GROUP_O, GROUP_Q, GROUP_V,
                     SkeletonModel, count_flops, count_params, map_layers,
                     named_layers, top1_scorer)
@@ -46,13 +45,14 @@ class CompressionPlan:
         ranks = dict(ranks or {})
         canon = {}
         for group in GROUP_ORDER:
-            if group in ranks:
-                k = ranks.pop(group)
-                if k is None:
-                    continue
-                if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-                    raise ValueError(f"rank for {group} must be a positive integer")
-                canon[group] = int(k)
+            k = ranks.pop(group, None)
+            if k is None:
+                continue
+            try:
+                check_integer("rank", k, 1)
+            except ValueError:
+                raise ValueError(f"rank for {group} must be a positive integer") from None
+            canon[group] = int(k)
         if ranks:
             raise ValueError(f"unknown layer groups: {sorted(ranks)}")
         self._ranks = canon
@@ -261,27 +261,56 @@ def rank_sweep(model: SkeletonModel, test_samples, grid) -> list:
     return _map_forked(row, grid)
 
 
+class _ForkFailed(Exception):
+    """``os.fork`` raised; the children forked before it are reaped."""
+
+
 def _map_forked(fn, items) -> list:
     """``[fn(x) for x in items]`` on W = min(CPUs in the affinity mask,
     len(items)) workers: the caller takes items 0, W, 2W, ... and each of
-    W - 1 forked children takes w, w + W, ... and pipes back one pickled
-    ``_stride``. Fork, not spawn, so that children share the caller's
-    truncations without a re-import or a copy. A failure raises the
-    exception of the lowest failing index, as the serial loop would; a
-    child that exits without its payload is a RuntimeError. No child
-    outlives the call."""
+    W - 1 forked children takes w, w + W, ... (see ``_strides``). Fork, not
+    spawn, so that children share the caller's truncations without a
+    re-import or a copy. W is 1, the serial loop, when the caller runs other
+    threads (a forked child could deadlock on a lock one of them holds) or
+    when a fork fails (EAGAIN under a process limit). A failure raises the
+    exception of the lowest failing index, as the serial loop would."""
     width = (min(len(os.sched_getaffinity(0)), len(items))
-             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
-    pids, ends, payloads = [], [], []
+             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+             and threading.active_count() == 1 else 1)
+    try:
+        parts = _strides(fn, items, width)
+    except _ForkFailed:
+        width, parts = 1, _strides(fn, items, 1)
+    failures = [failure for _, failure in parts if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    out = [None] * len(items)
+    for w, (results, _) in enumerate(parts):
+        out[w::width] = results
+    return out
+
+
+def _strides(fn, items, width) -> list:
+    """``_stride(fn, items, w, width)`` for w = 0 .. width - 1, the first in
+    the caller and each other in a forked child that pipes it back pickled.
+    A child that exits without its payload is a RuntimeError, and a fork
+    that fails is a ``_ForkFailed``. No child outlives the call; one whose
+    caller was killed leaves before its next item."""
+    caller, pids, ends, payloads = os.getpid(), [], [], []
     try:
         for w in range(1, width):
             read_end, write_end = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(read_end)
+                os.close(write_end)
+                raise _ForkFailed from exc
             if pid == 0:  # the child never returns into the caller's stack
                 try:
                     os.close(read_end)
                     with open(write_end, "wb") as out:
-                        pickle.dump(_stride(fn, items, w, width), out)
+                        pickle.dump(_stride(fn, items, w, width, caller), out)
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -304,21 +333,19 @@ def _map_forked(fn, items) -> list:
         if code:
             raise RuntimeError(f"a sweep worker ended without its rows (exit status {code})")
         parts.append(pickle.loads(payload))
-    failures = [failure for _, failure in parts if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    out = [None] * len(items)
-    for w, (results, _) in enumerate(parts):
-        out[w::width] = results
-    return out
+    return parts
 
 
-def _stride(fn, items, start, step):
+def _stride(fn, items, start, step, parent=None):
     """``fn`` over ``items[start::step]``, stopping at the first that
     raises: ``(results, failure)``, where ``failure`` is ``(index,
-    exception)`` or None."""
+    exception)`` or None. A child given its ``parent``'s pid leaves through
+    ``os._exit`` before an item once that is no longer its parent, so the
+    orphan of a killed caller lives for at most one more item."""
     results = []
     for i in range(start, len(items), step):
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
         try:
             results.append(fn(items[i]))
         except Exception as exc:

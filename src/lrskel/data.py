@@ -12,16 +12,14 @@ seeded with ``seed XOR TEST_STREAM_XOR`` so re-implementations agree.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import container
+from .linalg import check_integer, check_number, check_seed
 
 TEST_STREAM_XOR = 0x9E3779B97F4A7C15
-
-_MAX_SEED = 2 ** 64
 
 
 @dataclass(frozen=True)
@@ -43,19 +41,12 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("classes", "train_per_class", "test_per_class",
-                     "frames", "joints", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if name != "seed" and value < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if isinstance(self.noise_sigma, bool):
-            raise ValueError(f"noise_sigma must be a number, got {self.noise_sigma!r}")
+        for name in ("classes", "train_per_class", "test_per_class", "frames", "joints"):
+            check_integer(name, getattr(self, name), 1)
+        check_number("noise_sigma", self.noise_sigma)
         if not 0.0 <= self.noise_sigma < np.inf:
             raise ValueError("noise_sigma must be finite and >= 0")
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        check_seed(self.seed)
 
 
 def class_frequency(label: int) -> int:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .container import csv_text
 from .layers import backward_list
+from .linalg import check_integer, check_number, check_seed
 from .model import (SkeletonModel, check_clips, cross_entropy,
                     forward_features_tape, packed_copy, top1_scorer)
 
@@ -49,19 +50,14 @@ class TrainConfig:
                 raise ValueError(f"milestones entry {m!r} is not an integer")
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
         for name in ("base_lr", "decay_factor"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            check_number(name, getattr(self, name))
         if not self.base_lr >= 0.0:
             raise ValueError("base_lr must be non-negative")
         if not 0.0 < self.decay_factor <= 1.0:
             raise ValueError("decay_factor must be in (0, 1]")
-        for name, low in (("epochs", 1), ("batch_size", 1), ("warmup_epochs", 0),
-                          ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("warmup_epochs", 0)):
+            check_integer(name, getattr(self, name), low)
+        check_seed(self.seed)
         for prev, cur in zip(self.milestones, self.milestones[1:]):
             if cur <= prev:
                 raise ValueError("milestones must be strictly increasing")

@@ -18,6 +18,7 @@ one matrix. numpy's QR is the only LAPACK routine it uses;
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,27 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def check_integer(name: str, value, low=None) -> None:
+    """Raise ValueError unless ``value`` is a non-bool integer, >= ``low`` if given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
+def check_seed(value) -> None:
+    """Raise ValueError unless ``value`` is an integer in [0, 2**64)."""
+    check_integer("seed", value)
+    if not 0 <= value < 2 ** 64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+
+
+def check_number(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a non-bool real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def frobenius(a) -> float:
@@ -290,7 +312,6 @@ def reconstruction_error(s: SvdResult, k: int) -> float:
 
 
 def _check_rank(s: SvdResult, k) -> None:
-    if not isinstance(k, (int, np.integer)):
-        raise ValueError(f"rank must be an integer, got {k!r}")
+    check_integer("rank", k)
     if not 1 <= k <= s.sigma.size:
         raise ValueError(f"rank {k} out of range [1, {s.sigma.size}]")

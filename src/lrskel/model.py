@@ -14,7 +14,6 @@ so compression and fine-tuning are sibling modules over this one.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -23,7 +22,7 @@ import numpy as np
 from . import container
 from .layers import (AttentionHead, DenseLinear, GradTape, LowRankLinear,
                      MhsaBlock, backward, backward_list, check_shapes)
-from .linalg import as_matrix
+from .linalg import as_matrix, check_integer, check_seed
 
 # Layer group tags used by compression plans.
 GROUP_EMBED = "EMBED"
@@ -32,8 +31,6 @@ GROUP_K = "K"
 GROUP_V = "V"
 GROUP_O = "O"
 GROUP_HEAD = "HEAD"
-
-_MAX_SEED = 2 ** 64
 
 # Samples per stacked forward in ``forward``: bounds the activations held at
 # once when a whole evaluation set is scored.
@@ -51,20 +48,14 @@ class ModelConfig:
     seed: int
 
     def __post_init__(self):
-        # The seed's range has its own check below.
         for name, low in (("joints", 1), ("frames", 1), ("d_model", 1), ("heads", 1),
-                          ("blocks", 0), ("classes", 1), ("seed", None)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if low is not None and value < low:
-                raise ValueError(f"{name} must be >= {low}")
+                          ("blocks", 0), ("classes", 1)):
+            check_integer(name, getattr(self, name), low)
+        check_seed(self.seed)
         if self.d_model % self.heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}"
             )
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
 
     @property
     def input_width(self) -> int:

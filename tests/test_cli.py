@@ -8,6 +8,7 @@ import signal
 import struct
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -595,6 +596,75 @@ def test_sweep_on_a_pipe_prints_each_line_once(workspace):
     assert proc.stdout.splitlines() == expected
     assert [line.split(":")[0] for line in expected] == [
         "config", "full", "v=3", "v=2", "v=1", "wrote " + str(out)]
+
+
+def _children(pid):
+    """Pids whose parent is ``pid``, read from /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):  # not a pid, or it just ended
+            continue
+        if fields[1] == str(pid):
+            found.append(int(entry))
+    return found
+
+
+def _running(pid):
+    """True while ``pid`` runs; a zombie left for its new parent has ended."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _poll(predicate, seconds):
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs Linux's /proc and two CPUs in the affinity mask")
+def test_sweep_worker_does_not_outlive_a_killed_caller(workspace):
+    # A SIGTERM raises nothing in the caller, so it cannot reap its worker.
+    # The worker, reparented, used to score the rest of its plans: here
+    # 200 plans of 50 ms each, 10 s.
+    tmp_path, data, model = workspace
+    grid = tmp_path / "grid.txt"
+    grid.write_text("q=1\n" * 400)
+    script = ("import os, sys, time\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "from lrskel import compress\n"
+              "real = compress._compress\n"
+              "def slow(*args):\n"
+              "    time.sleep(0.05)\n"
+              "    return real(*args)\n"
+              "compress._compress = slow\n"
+              "from lrskel.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "sweep", str(model), str(data),
+         "--grid", str(grid), "--out", str(tmp_path / "s.csv")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+    workers = []
+    try:
+        assert _poll(lambda: workers.extend(_children(proc.pid)) or workers, 60)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(60) == -signal.SIGTERM
+        assert _poll(lambda: not any(map(_running, workers)), 5)
+    finally:
+        proc.kill()  # a no-op once it is reaped
+        proc.wait(60)
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_sweep_reads_only_the_test_split(workspace):

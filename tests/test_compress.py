@@ -2,6 +2,7 @@ import hashlib
 import os
 import re
 import signal
+import threading
 import time
 import weakref
 
@@ -408,6 +409,49 @@ def test_rank_sweep_rows_do_not_depend_on_the_worker_count(trained_toy, monkeypa
     assert rank_sweep(m, test, grid) == expected
     assert len(calls) == forks  # at most one worker per plan
     assert_no_children()
+
+
+@pytest.mark.parametrize("forks_that_work", [0, 1])
+def test_rank_sweep_runs_serially_when_a_fork_fails(trained_toy, monkeypatch,
+                                                    forks_that_work):
+    # EAGAIN under a process limit used to end the sweep. A child forked
+    # before the failing fork is killed and reaped, and the caller scores
+    # every plan itself.
+    m, test = trained_toy
+    grid = [parse_plan(t) for t in DISTINCT_GRID]
+    expected = per_plan_rows(m, test, grid)
+    forked, counted = forced_cpus(monkeypatch, 3), os.fork
+
+    def limited():
+        if len(forked) == forks_that_work:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return counted()
+
+    in_child = []
+    monkeypatch.setattr(os, "fork", limited)
+    hooked_compress(monkeypatch, lambda text, child: in_child.append(child))
+    assert rank_sweep(m, test, grid) == expected
+    assert len(forked) == forks_that_work
+    assert in_child == [False] * len(grid)  # the caller scored every plan
+    assert_no_children()
+
+
+def test_rank_sweep_forks_nothing_beside_other_threads(trained_toy, monkeypatch):
+    # A forked child could deadlock on a lock another thread holds.
+    m, test = trained_toy
+    grid = [parse_plan(t) for t in DISTINCT_GRID]
+    expected = per_plan_rows(m, test, grid)
+    forked = forced_cpus(monkeypatch, 3)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert rank_sweep(m, test, grid) == expected
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive()
+    assert forked == []
 
 
 @pytest.mark.parametrize("cpus", [1, 3])

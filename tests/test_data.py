@@ -40,9 +40,11 @@ def test_spec_counts_must_be_integers(name, value):
 
 
 def test_noise_must_not_be_a_bool():
-    # noise_sigma=True used to build with noise 1.0.
-    with pytest.raises(ValueError, match=re.escape("noise_sigma must be a number, got True")):
-        DatasetSpec(noise_sigma=True)
+    # noise_sigma=True used to build with noise 1.0; "0.1" and None were a
+    # raw TypeError from a comparison.
+    for noise in (True, "0.1", None):
+        with pytest.raises(ValueError, match=re.escape(f"noise_sigma must be a number, got {noise!r}")):
+            DatasetSpec(noise_sigma=noise)
 
 
 def test_counts_and_balance():

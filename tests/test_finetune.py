@@ -101,9 +101,18 @@ def test_counts_must_be_integers(name, value):
 
 @pytest.mark.parametrize("name", ["base_lr", "decay_factor"])
 def test_rates_must_not_be_bools(name):
-    # base_lr=True used to train at lr 1, decay_factor=True with no decay.
-    with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got True")):
-        TrainConfig(**{"base_lr": 0.1, "epochs": 1, name: True})
+    # base_lr=True used to train at lr 1, decay_factor=True with no decay;
+    # "0.1" and None were a raw TypeError from a comparison.
+    for value in (True, "0.1", None):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got {value!r}")):
+            TrainConfig(**{"base_lr": 0.1, "epochs": 1, name: value})
+
+
+@pytest.mark.parametrize("seed", [2 ** 70, -1])
+def test_seed_must_fit_64_bits(seed):
+    # seed=2**70 used to be admitted here, though train's model seed is not.
+    with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
+        TrainConfig(base_lr=0.1, epochs=1, seed=seed)
 
 
 @pytest.mark.parametrize("entry", [1.9, "2", True, float("inf"), float("nan"), None])

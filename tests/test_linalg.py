@@ -252,8 +252,9 @@ def test_as_matrix_rejects_empty_and_non_finite(a, message):
         as_matrix(a, "m")
 
 
-@pytest.mark.parametrize("k", [1.0, "1", None])
+@pytest.mark.parametrize("k", [1.0, "1", None, True])
 def test_rank_must_be_an_integer(k):
+    # True used to truncate to rank 1.
     s = svd(np.eye(3))
     for check in (truncate_to_factors, reconstruction_error):
         with pytest.raises(ValueError, match="rank must be an integer"):
