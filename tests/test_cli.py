@@ -598,27 +598,24 @@ def test_sweep_on_a_pipe_prints_each_line_once(workspace):
         "config", "full", "v=3", "v=2", "v=1", "wrote " + str(out)]
 
 
+def _stat(pid):
+    """The fields of /proc/<pid>/stat after the command name (state, parent
+    pid, ...), or None once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
 def _children(pid):
-    """Pids whose parent is ``pid``, read from /proc."""
-    found = []
-    for entry in os.listdir("/proc"):
-        try:
-            with open(f"/proc/{entry}/stat") as fh:
-                fields = fh.read().rsplit(")", 1)[1].split()
-        except (OSError, IndexError):  # not a pid, or it just ended
-            continue
-        if fields[1] == str(pid):
-            found.append(int(entry))
-    return found
+    return [int(e) for e in os.listdir("/proc")
+            if e.isdigit() and (_stat(e) or [None, None])[1] == str(pid)]
 
 
 def _running(pid):
     """True while ``pid`` runs; a zombie left for its new parent has ended."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except OSError:
-        return False
+    return (_stat(pid) or ["Z"])[0] != "Z"
 
 
 def _poll(predicate, seconds):
