@@ -75,6 +75,7 @@ MUTANTS = (
     ("config-integer-rule-dropped", "linalg.py",
      "    if isinstance(value, bool) or not isinstance(value, numbers.Integral):",
      "    if False:"),
+    ("finite-number-rule-dropped", "linalg.py", "    if not finite:", "    if False:"),
     ("integer-rule-accepts-bool", "linalg.py",
      "isinstance(value, bool) or not isinstance(value, numbers.Integral)",
      "not isinstance(value, numbers.Integral)"),
@@ -84,8 +85,10 @@ MUTANTS = (
     ("sweep-last-failure-raised", "compress.py",
      "raise min(failures, key=lambda failure: failure[0])[1]",
      "raise max(failures, key=lambda failure: failure[0])[1]"),
-    ("sweep-fork-failure-raises", "compress.py",
-     "raise _ForkFailed from exc", "raise"),
+    ("sweep-fork-failure-raises", "compress.py", "                break",
+     "                raise"),
+    ("sweep-failed-start-strides-dropped", "compress.py",
+     "for w in (0, *range(len(pids) + 1, width))}", "for w in (0,)}"),
     ("sweep-orphan-check-skipped", "compress.py",
      "if parent is not None and os.getppid() != parent:", "if False:"),
 )

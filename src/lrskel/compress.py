@@ -6,7 +6,8 @@ truncated SVD, leaves everything else byte-identical, and accounts for the
 parameter, FLOP, and reconstruction-error cost of the whole model. One plan
 or a sweep's grid, each ranked layer is decomposed once and truncated once
 per rank. A sweep scores raw top-1 with ``model.top1_scorer``, its plans
-spread over the CPUs the process may run on.
+spread over the CPUs the process may run on; the caller scores the plans
+of any worker that cannot start.
 """
 
 from __future__ import annotations
@@ -245,7 +246,8 @@ def rank_sweep(model: SkeletonModel, test_samples, grid) -> list:
     truncated once per rank the grid gives its group. Plans that share a
     (layer, rank) share its truncated layer. The plans are then scored on
     one worker per CPU of the affinity mask (see ``_map_forked``), with the
-    rows and errors of a serial run.
+    rows and errors of a serial run. A worker that cannot start, as under a
+    process or file limit, leaves its plans to the caller.
     """
     if not grid:
         raise ValueError("empty plan grid")
@@ -261,51 +263,33 @@ def rank_sweep(model: SkeletonModel, test_samples, grid) -> list:
     return _map_forked(row, grid)
 
 
-class _ForkFailed(Exception):
-    """``os.fork`` raised; the children forked before it are reaped."""
-
-
 def _map_forked(fn, items) -> list:
-    """``[fn(x) for x in items]`` on W = min(CPUs in the affinity mask,
-    len(items)) workers: the caller takes items 0, W, 2W, ... and each of
-    W - 1 forked children takes w, w + W, ... (see ``_strides``). Fork, not
-    spawn, so that children share the caller's truncations without a
-    re-import or a copy. W is 1, the serial loop, when the caller runs other
-    threads (a forked child could deadlock on a lock one of them holds) or
-    when a fork fails (EAGAIN under a process limit). A failure raises the
-    exception of the lowest failing index, as the serial loop would."""
+    """``[fn(x) for x in items]`` over W = min(CPUs in the affinity mask,
+    len(items)) strides, stride w being items w, w + W, ... The caller
+    forks a child for each of strides 1, 2, ... in turn, which pipes its
+    ``_stride`` back pickled (fork, not spawn: children share the caller's
+    truncations without a copy). The first ``os.pipe`` or ``os.fork`` that
+    fails (EMFILE, EAGAIN) ends the forking; the caller runs stride 0 and
+    every stride no child took. W is 1 when the caller runs other threads,
+    as a forked child could deadlock on a lock one of them holds. A failure
+    raises the lowest failing index's exception, as the serial loop would;
+    a child that exits without its stride is a RuntimeError. No child
+    outlives the call."""
     width = (min(len(os.sched_getaffinity(0)), len(items))
              if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
              and threading.active_count() == 1 else 1)
-    try:
-        parts = _strides(fn, items, width)
-    except _ForkFailed:
-        width, parts = 1, _strides(fn, items, 1)
-    failures = [failure for _, failure in parts if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    out = [None] * len(items)
-    for w, (results, _) in enumerate(parts):
-        out[w::width] = results
-    return out
-
-
-def _strides(fn, items, width) -> list:
-    """``_stride(fn, items, w, width)`` for w = 0 .. width - 1, the first in
-    the caller and each other in a forked child that pipes it back pickled.
-    A child that exits without its payload is a RuntimeError, and a fork
-    that fails is a ``_ForkFailed``. No child outlives the call; one whose
-    caller was killed leaves before its next item."""
     caller, pids, ends, payloads = os.getpid(), [], [], []
     try:
         for w in range(1, width):
-            read_end, write_end = os.pipe()
+            pipe = ()
             try:
+                pipe = os.pipe()
                 pid = os.fork()
-            except OSError as exc:
-                os.close(read_end)
-                os.close(write_end)
-                raise _ForkFailed from exc
+            except OSError:
+                for end in pipe:
+                    os.close(end)
+                break
+            read_end, write_end = pipe
             if pid == 0:  # the child never returns into the caller's stack
                 try:
                     os.close(read_end)
@@ -317,7 +301,8 @@ def _strides(fn, items, width) -> list:
             os.close(write_end)
             pids.append(pid)
             ends.append(read_end)
-        parts = [_stride(fn, items, 0, width)]
+        parts = {w: _stride(fn, items, w, width)
+                 for w in (0, *range(len(pids) + 1, width))}
         for end in ends:
             with open(end, "rb", closefd=False) as fh:
                 payloads.append(fh.read())
@@ -329,11 +314,17 @@ def _strides(fn, items, width) -> list:
         for end in ends:
             os.close(end)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    for payload, code in zip(payloads, codes):
+    for w, (payload, code) in enumerate(zip(payloads, codes), 1):
         if code:
             raise RuntimeError(f"a sweep worker ended without its rows (exit status {code})")
-        parts.append(pickle.loads(payload))
-    return parts
+        parts[w] = pickle.loads(payload)
+    failures = [failure for _, failure in parts.values() if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    out = [None] * len(items)
+    for w, (results, _) in parts.items():
+        out[w::width] = results
+    return out
 
 
 def _stride(fn, items, start, step, parent=None):

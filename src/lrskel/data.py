@@ -44,8 +44,8 @@ class DatasetSpec:
         for name in ("classes", "train_per_class", "test_per_class", "frames", "joints"):
             check_integer(name, getattr(self, name), 1)
         check_number("noise_sigma", self.noise_sigma)
-        if not 0.0 <= self.noise_sigma < np.inf:
-            raise ValueError("noise_sigma must be finite and >= 0")
+        if self.noise_sigma < 0:
+            raise ValueError("noise_sigma must be >= 0")
         check_seed(self.seed)
 
 

@@ -18,6 +18,7 @@ one matrix. numpy's QR is the only LAPACK routine it uses;
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -65,9 +66,15 @@ def check_seed(value) -> None:
 
 
 def check_number(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a non-bool real number."""
+    """Raise ValueError unless ``value`` is a finite, non-bool real number."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def frobenius(a) -> float:

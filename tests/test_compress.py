@@ -411,28 +411,41 @@ def test_rank_sweep_rows_do_not_depend_on_the_worker_count(trained_toy, monkeypa
     assert_no_children()
 
 
-@pytest.mark.parametrize("forks_that_work", [0, 1])
-def test_rank_sweep_runs_serially_when_a_fork_fails(trained_toy, monkeypatch,
-                                                    forks_that_work):
-    # EAGAIN under a process limit used to end the sweep. A child forked
-    # before the failing fork is killed and reaped, and the caller scores
-    # every plan itself.
+def open_fds():
+    """How many fds this process holds open, or None without /proc."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("failing, started", [("fork", 0), ("fork", 1),
+                                              ("pipe", 0), ("pipe", 1)])
+def test_rank_sweep_rows_survive_a_worker_that_cannot_start(trained_toy, monkeypatch,
+                                                            failing, started):
+    # EAGAIN from fork under a process limit, or EMFILE from pipe under a
+    # file limit, used to end the sweep or rerun it serially. A worker
+    # started before the failure keeps its plans; the caller scores the rest.
     m, test = trained_toy
     grid = [parse_plan(t) for t in DISTINCT_GRID]
     expected = per_plan_rows(m, test, grid)
-    forked, counted = forced_cpus(monkeypatch, 3), os.fork
+    forked = forced_cpus(monkeypatch, 3)
+    calls, real = [], getattr(os, failing)
+    error = {"fork": BlockingIOError(11, "Resource temporarily unavailable"),
+             "pipe": OSError(24, "Too many open files")}[failing]
 
     def limited():
-        if len(forked) == forks_that_work:
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-        return counted()
+        if len(calls) == started:
+            raise error
+        calls.append(1)
+        return real()
 
     in_child = []
-    monkeypatch.setattr(os, "fork", limited)
+    monkeypatch.setattr(os, failing, limited)
     hooked_compress(monkeypatch, lambda text, child: in_child.append(child))
+    fds = open_fds()
     assert rank_sweep(m, test, grid) == expected
-    assert len(forked) == forks_that_work
-    assert in_child == [False] * len(grid)  # the caller scored every plan
+    assert open_fds() == fds
+    assert len(forked) == started
+    # A started child scored stride 1 (indices 1, 4, 7); the caller the rest.
+    assert in_child == [False] * (len(grid) - 3 * started)
     assert_no_children()
 
 
@@ -454,10 +467,13 @@ def test_rank_sweep_forks_nothing_beside_other_threads(trained_toy, monkeypatch)
     assert forked == []
 
 
-@pytest.mark.parametrize("cpus", [1, 3])
-def test_rank_sweep_raises_the_serial_runs_first_failure(trained_toy, monkeypatch, cpus):
+@pytest.mark.parametrize("cpus, fork_fails", [(1, False), (3, False), (3, True)],
+                         ids=["1", "3", "3-fork-fails"])
+def test_rank_sweep_raises_the_serial_runs_first_failure(trained_toy, monkeypatch, cpus,
+                                                         fork_fails):
     # Failures at index 2 (second child), 4 (first child) and 6 (caller):
     # every worker stops at its own first one, and index 2's is raised.
+    # When the first fork fails, the caller runs all three strides.
     m, test = trained_toy
     failures = {"k=1": ValueError("logits contain non-finite entries"),
                 "v=2": FloatingPointError("overflow in v=2"),
@@ -468,6 +484,11 @@ def test_rank_sweep_raises_the_serial_runs_first_failure(trained_toy, monkeypatc
             raise failures[text]
 
     forced_cpus(monkeypatch, cpus)
+    if fork_fails:
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
     hooked_compress(monkeypatch, fail)
     with pytest.raises(ValueError) as info:
         rank_sweep(m, test, [parse_plan(t) for t in DISTINCT_GRID])

@@ -22,7 +22,7 @@ SMALL = DatasetSpec(classes=4, train_per_class=6, test_per_class=4,
 def test_spec_validation():
     with pytest.raises(ValueError):
         DatasetSpec(classes=0)
-    for noise in (-0.1, np.nan, np.inf):
+    for noise in (-0.1, np.nan, np.inf, 10 ** 400):
         with pytest.raises(ValueError, match="noise_sigma"):
             DatasetSpec(noise_sigma=noise)
     with pytest.raises(ValueError):

@@ -108,6 +108,16 @@ def test_rates_must_not_be_bools(name):
             TrainConfig(**{"base_lr": 0.1, "epochs": 1, name: value})
 
 
+@pytest.mark.parametrize("name", ["base_lr", "decay_factor"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 10 ** 400],
+                         ids=["inf", "nan", "10**400"])
+def test_rates_must_be_finite(name, value):
+    # base_lr=inf and base_lr=10**400 used to be admitted; train then ran
+    # at an infinite rate or raised a raw OverflowError.
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite, got {value!r}")):
+        TrainConfig(**{"base_lr": 0.1, "epochs": 1, name: value})
+
+
 @pytest.mark.parametrize("seed", [2 ** 70, -1])
 def test_seed_must_fit_64_bits(seed):
     # seed=2**70 used to be admitted here, though train's model seed is not.
