@@ -34,6 +34,10 @@ MUTANTS = (
     ("SVD_TOL", "linalg.py", "SVD_TOL = 1e-12", "SVD_TOL = 1e-8"),
     ("sign-convention", "linalg.py",
      "    _apply_sign_convention(u, vt, sigma.size)", "    pass"),
+    ("jacobi-stops-after-one-sweep", "linalg.py", "        if not moved.any():",
+     "        if True:"),
+    ("jacobi-error-names-matrix-0", "linalg.py", "    first = np.flatnonzero(moved)[0]",
+     "    first = 0"),
     ("argsort", "linalg.py", 'np.argsort(-sigma, kind="stable")',
      "np.argsort(-sigma)"),
     ("row-max-odd-fold", "layers.py", "        if w % 2:", "        if False:"),
@@ -61,6 +65,7 @@ MUTANTS = (
      "cfg.frames, cfg.input_width) for s in samples]"),
     ("label-range-off-by-one", "model.py", "labels.max() >= cfg.classes",
      "labels.max() > cfg.classes"),
+    ("empty-out-check-skipped", "cli.py", "    if not all(paths):", "    if False:"),
     ("same-file-check-bypassed", "cli.py",
      "    if len({real[path] for path in paths}) < len(paths):", "    if False:"),
     ("overwrite-format-check-bypassed", "cli.py",

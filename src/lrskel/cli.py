@@ -145,11 +145,13 @@ def _usage_errors():
 
 def _check_out_dirs(args, outputs, made=""):
     """Admit a command's ``(path, format)`` outputs; ``made`` is a folder it creates."""
+    paths = [path for path, _ in outputs]
+    if not all(paths):
+        raise ValueError("output path is empty")
     inputs = [(vars(args).get(key), key) for key in ("weights", "grid", "config")]
     if "data" in vars(args):
         inputs += [(path, "dataset") for path in _splits(args.data)]
     real = {path: os.path.realpath(path) for path, _ in outputs + inputs if path}
-    paths = [path for path, _ in outputs]
     if len({real[path] for path in paths}) < len(paths):
         raise ValueError(f"output paths {' and '.join(paths)} name one file")
     for path, kind in outputs:

@@ -142,20 +142,6 @@ def svds(mats):
             del stacks[b.shape]
 
 
-def _square_stack(tall, ids):
-    """Run one Jacobi over the square cores of ``tall[i]``, i in ``ids`` (one
-    shape; a tall one's is its QR R, whose bits mode "r" keeps), then yield
-    each one's rotated columns and V in turn."""
-    n = tall[ids[0]].shape[1]
-    cols = np.empty((len(ids) * n, n))
-    for g, i in enumerate(ids):
-        b = tall[i]
-        cols[g * n:(g + 1) * n] = (np.linalg.qr(b, "r") if len(b) > n else b).T
-    v = _jacobi(cols, n, ids)
-    for g in range(len(ids)):
-        yield cols[g * n:(g + 1) * n], v[g * n:(g + 1) * n]
-
-
 def _result(a, b, cols, v):
     """``svd(a)`` from the rotated columns and V of the core of ``b``, ``a``
     or its transpose. A tall ``b`` = Q [R; 0] (complete Householder QR, made
@@ -184,27 +170,34 @@ def _result(a, b, cols, v):
     return SvdResult(u=u, sigma=sigma, vt=vt)
 
 
-def _jacobi(cols, n, ids):
-    """One-sided Jacobi on G square matrices at once; returns their V.
+def _square_stack(tall, ids):
+    """One-sided Jacobi on the square cores of ``tall[i]``, i in ``ids``, at
+    once (one shape; a tall one's core is its QR R, whose bits mode "r"
+    keeps). Returns an iterator over each one's rotated columns and V; a
+    generator here would keep the step buffers alive while each U is built.
 
     Row g*n + i of the flat (G*n, n) ``cols``, and of V, is column i of
-    matrix g. A step gathers the pair rows of every live matrix as one
+    matrix g. A step gathers the pair rows of every matrix as one
     (G*P, 2, n) block to find the pairs not yet orthogonal to ``SVD_TOL``,
     then rotates those, and only those, in both stores with one batched
-    2 x 2 matmul each. A matrix leaves the live set after a sweep without a
-    rotation, so each gets the bits of a run on its own.
+    2 x 2 matmul each. A matrix with no active pair in a sweep has unchanged
+    columns, so the next sweep tests the same columns and again rotates
+    nothing: each gets the bits of a run on its own.
     """
-    g = len(ids)
-    v = np.zeros((g * n, n))
-    v.reshape(g, n * n)[:, ::n + 1] = 1.0
-    schedule, live = _round_robin(n), np.arange(g)
+    g, n = len(ids), tall[ids[0]].shape[1]
+    cores, vs = np.empty((g, n, n)), np.zeros((g, n, n))
+    for core, b in zip(cores, [tall[i] for i in ids]):
+        core[:] = (np.linalg.qr(b, "r") if len(b) > n else b).T
+    vs.reshape(g, n * n)[:, ::n + 1] = 1.0
+    cols, v = cores.reshape(g * n, n), vs.reshape(g * n, n)
+    steps = [(np.arange(g)[:, None, None] * n + pairs).reshape(-1, 2)
+             for pairs in _round_robin(n)]
     # Step buffers, reused: a fresh pairs x 2 x n block per step costs page
     # faults. take's "clip" mode (pairs are in range) fills them unbuffered.
     gathered, rotated_rows = np.empty((2, g * (n // 2), 2, n))
+    moved = np.ones(g, dtype=bool)  # before a sweep, none is known converged
     for _ in range(MAX_SWEEPS):
-        steps = schedule if g == 1 else [
-            (live[:, None, None] * n + pairs).reshape(-1, 2) for pairs in schedule]
-        moved = np.zeros(live.size, dtype=bool)
+        moved[:] = False
         for pairs in steps:
             x = cols.take(pairs, 0, gathered[:len(pairs)], "clip")
             norms = np.einsum("kij,kij->ki", x, x)
@@ -214,7 +207,7 @@ def _jacobi(cols, n, ids):
             n_active = np.count_nonzero(active)
             if not n_active:
                 continue
-            moved |= active.reshape(live.size, -1).any(axis=1)
+            moved |= active.reshape(g, -1).any(axis=1)
             if n_active < active.size:
                 pairs, x = pairs[active], x[active]
                 alpha, beta, gamma = alpha[active], beta[active], gamma[active]
@@ -227,13 +220,12 @@ def _jacobi(cols, n, ids):
             cols[pairs] = np.matmul(rot, x, out=rotated_rows[:n_active])
             x = v.take(pairs, 0, gathered[:n_active], "clip")
             v[pairs] = np.matmul(rot, x, out=rotated_rows[:n_active])
-        live = live[moved]
-        if not live.size:
-            return v
-    first = live[0]
+        if not moved.any():
+            return zip(cores, vs)
+    first = np.flatnonzero(moved)[0]
     raise SvdConvergenceError(
         f"no convergence after {MAX_SWEEPS} sweeps; max relative column "
-        f"coupling {_worst_coupling(cols[first * n:(first + 1) * n]):.3e}",
+        f"coupling {_worst_coupling(cores[first]):.3e}",
         ids[first])
 
 

@@ -1013,6 +1013,14 @@ OVERWRITE_CASES = [
      "error: output directory model.lrts is not a directory"),
     (["train", "data", "--out", "model.lrts/sub/t.lrts", *SMALL_MODEL, *SMALL_TRAIN],
      "error: output directory model.lrts is not a directory"),
+    (["train", "data", "--out", "", *SMALL_MODEL, *SMALL_TRAIN],
+     "error: output path is empty"),
+    (["compress", "model.lrts", "--plan", "q=1", "--out", ""],
+     "error: output path is empty"),
+    (["sweep", "model.lrts", "data", "--grid", "g.txt", "--out", ""],
+     "error: output path is empty"),
+    (["finetune", "model.lrts", "data", "--out", "", *SMALL_TRAIN],
+     "error: output path is empty"),
 ]
 
 

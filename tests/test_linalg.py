@@ -390,8 +390,8 @@ def _stack_catalogue(seed):
         "zero": np.zeros((32, 8)),
         "square": rng.normal(size=(8, 8)),
         "square-2": rng.normal(size=(8, 8)),
-        # Orthogonal columns: no rotation in sweep 1, so it leaves the live
-        # set while the other 8x8 inputs keep rotating.
+        # Orthogonal columns: it stops rotating after sweep 1 while the
+        # other 8x8 inputs keep rotating.
         "diagonal": np.diag(rng.uniform(0.5, 2.0, size=8)),
         "zero-square": np.zeros((8, 8)),
         "row": rng.normal(size=(1, 5)),
