@@ -52,6 +52,8 @@ MUTANTS = (
      "views = iter(np.split(flat, np.cumsum([a.size for a in arrays[:-1]]))[::-1])"),
     ("reader-done-noop", "container.py", "        if self.pos != len(self.data):",
      "        if False:"),
+    ("outputs-replaced-one-by-one", "container.py", "                fh.write(data)",
+     "                fh.write(data), os.replace(tmps.pop(), path)"),
     ("out-dir-isdir", "cli.py", "        if os.path.isdir(path):",
      "        if False:"),
     ("TEST_STREAM_XOR", "data.py", "TEST_STREAM_XOR = 0x9E3779B97F4A7C15",
@@ -65,7 +67,8 @@ MUTANTS = (
      "cfg.frames, cfg.input_width) for s in samples]"),
     ("label-range-off-by-one", "model.py", "labels.max() >= cfg.classes",
      "labels.max() > cfg.classes"),
-    ("empty-out-check-skipped", "cli.py", "    if not all(paths):", "    if False:"),
+    ("empty-out-check-skipped", "cli.py", "    if not all(paths)", "    if False"),
+    ("empty-history-taken-as-default", "cli.py", "paths[key] is None", "not paths[key]"),
     ("same-file-check-bypassed", "cli.py",
      "    if len({real[path] for path in paths}) < len(paths):", "    if False:"),
     ("overwrite-format-check-bypassed", "cli.py",

@@ -20,8 +20,8 @@ import sys
 
 from .compress import (PlanParseError, check_plan, compress_model, parse_plan,
                        rank_sweep, sweep_to_csv)
-from .container import ContainerError, write_atomic
-from .data import DatasetSpec, generate_dataset, load_dataset, save_dataset
+from .container import ContainerError, samples_bytes, weights_bytes, write_all
+from .data import DatasetSpec, generate_dataset, load_dataset
 from .finetune import TrainConfig, TrainingDiverged, train
 from .model import (
     ModelConfig,
@@ -29,8 +29,8 @@ from .model import (
     count_flops,
     count_params,
     load_model,
+    model_to_tensors,
     named_layers,
-    save_model,
 )
 
 TRAIN_FILE = "train.lrsk"
@@ -101,8 +101,9 @@ def _flag(key):
 
 def _resolve(args, defaults):
     """Merge flag values over config-file values over defaults, echo them
-    with the command's path arguments, and return each setting converted by
-    its default's type."""
+    with the command's path arguments, set a ``--history`` or ``--report``
+    not given to ``<out>.history.csv`` or ``<out>.report.csv``, and return
+    each setting converted by its default's type."""
     file_values = {}
     if args.config is not None:
         try:
@@ -122,6 +123,9 @@ def _resolve(args, defaults):
     paths = {key: value for key, value in vars(args).items()
              if key not in defaults and key not in ("command", "config", "func")}
     print("config:", json.dumps({**settings, **paths}, sort_keys=True))
+    for key in ("history", "report"):
+        if key in paths and paths[key] is None:
+            setattr(args, key, f"{args.out}.{key}.csv")
     for key, value in settings.items():
         convert = _milestones if key == "milestones" else _CONVERT[type(defaults[key])]
         settings[key] = convert(value, _flag(key))
@@ -143,10 +147,10 @@ def _usage_errors():
         raise UsageError(str(exc)) from exc
 
 
-def _check_out_dirs(args, outputs, made=""):
+def _check_out_dirs(args, outputs, made=None):
     """Admit a command's ``(path, format)`` outputs; ``made`` is a folder it creates."""
     paths = [path for path, _ in outputs]
-    if not all(paths):
+    if not all(paths) or made == "":
         raise ValueError("output path is empty")
     inputs = [(vars(args).get(key), key) for key in ("weights", "grid", "config")]
     if "data" in vars(args):
@@ -173,21 +177,21 @@ def _splits(folder):
     return [os.path.join(folder, name) for name in (TRAIN_FILE, TEST_FILE)]
 
 
-def _fit(args, history_path, model, train_samples, test_samples, tcfg):
+def _fit(args, model, train_samples, test_samples, tcfg):
     """Train ``model``, then write its weights and history and report."""
     try:
         fitted, history = train(model, train_samples, test_samples, tcfg)
     except TrainingDiverged as exc:
         # The completed epochs' history, header only if there are none;
         # no weights file.
-        write_atomic(history_path, exc.history.to_csv().encode())
+        write_all([(args.history, exc.history.to_csv().encode())])
         raise
-    save_model(args.out, fitted)
-    write_atomic(history_path, history.to_csv().encode())
+    write_all([(args.out, weights_bytes(model_to_tensors(fitted))),
+               (args.history, history.to_csv().encode())])
     last = history.records[-1]
     print(f"final test top-1: {last.test_top1:.4f} "
           f"(best {history.best_top1:.4f} at epoch {history.best_epoch})")
-    print(f"wrote {args.out} and {history_path}")
+    print(f"wrote {args.out} and {args.history}")
     return 0
 
 
@@ -198,8 +202,7 @@ def cmd_gen(args):
         train_samples, test_samples = generate_dataset(spec)
     _check_out_dirs(args, [(p, "dataset") for p in _splits(args.out)], made=args.out)
     os.makedirs(args.out, exist_ok=True)
-    for path, samples in zip(_splits(args.out), (train_samples, test_samples)):
-        save_dataset(path, samples)
+    write_all(zip(_splits(args.out), map(samples_bytes, (train_samples, test_samples))))
     print(f"train samples: {len(train_samples)}")
     print(f"test samples: {len(test_samples)}")
     return 0
@@ -213,15 +216,14 @@ def cmd_train(args):
         # that the model settings are checked before any file is read.
         mcfg = ModelConfig(joints=1, frames=1, classes=1, seed=tcfg.seed,
                            **_fields(settings, MODEL_DEFAULTS))
-    history_path = args.history or args.out + ".history.csv"
-    _check_out_dirs(args, [(args.out, "weights"), (history_path, "csv")])
+    _check_out_dirs(args, [(args.out, "weights"), (args.history, "csv")])
     train_samples, test_samples = map(load_dataset, _splits(args.data))
     if not train_samples or not test_samples:
         raise ValueError("dataset is empty")
     frames, joints, _ = train_samples[0].coords.shape
     classes = 1 + max(s.label for s in train_samples + test_samples)
     mcfg = dataclasses.replace(mcfg, joints=joints, frames=frames, classes=classes)
-    return _fit(args, history_path, build_model(mcfg), train_samples, test_samples, tcfg)
+    return _fit(args, build_model(mcfg), train_samples, test_samples, tcfg)
 
 
 def cmd_compress(args):
@@ -230,16 +232,15 @@ def cmd_compress(args):
         plan = parse_plan(settings["plan"])
     except PlanParseError as exc:
         raise UsageError(f"bad --plan: {exc}") from exc
-    report_path = args.report or args.out + ".report.csv"
-    _check_out_dirs(args, [(args.out, "weights"), (report_path, "csv")])
+    _check_out_dirs(args, [(args.out, "weights"), (args.report, "csv")])
     model = load_model(args.weights)
     compressed, report = compress_model(model, plan)
-    save_model(args.out, compressed)
-    write_atomic(report_path, report.to_csv().encode())
+    write_all([(args.out, weights_bytes(model_to_tensors(compressed))),
+               (args.report, report.to_csv().encode())])
     print(f"params: {report.params_before} -> {report.params_after}")
     print(f"flops (T={report.reference_frames}): "
           f"{report.flops_before} -> {report.flops_after}")
-    print(f"wrote {args.out} and {report_path}")
+    print(f"wrote {args.out} and {args.report}")
     return 0
 
 
@@ -263,7 +264,7 @@ def cmd_sweep(args):
     if not grid:
         raise ValueError(f"no plans found in grid file {args.grid}")
     rows = rank_sweep(model, test_samples, grid)
-    write_atomic(args.out, sweep_to_csv(rows).encode())
+    write_all([(args.out, sweep_to_csv(rows).encode())])
     for row in rows:
         print(f"{row.plan}: params={row.params} top1={row.top1:.4f}")
     print(f"wrote {args.out}")
@@ -274,10 +275,9 @@ def cmd_finetune(args):
     settings = _resolve(args, FINETUNE_DEFAULTS)
     with _usage_errors():
         tcfg = TrainConfig(**_fields(settings, FINETUNE_DEFAULTS))
-    history_path = args.history or args.out + ".history.csv"
-    _check_out_dirs(args, [(args.out, "weights"), (history_path, "csv")])
+    _check_out_dirs(args, [(args.out, "weights"), (args.history, "csv")])
     model = load_model(args.weights)
-    return _fit(args, history_path, model, *map(load_dataset, _splits(args.data)), tcfg)
+    return _fit(args, model, *map(load_dataset, _splits(args.data)), tcfg)
 
 
 def cmd_info(args):

@@ -9,8 +9,9 @@ sample: label u32, frames u32, joints u32, payload of frames*joints*3 f64
 coordinates.
 
 Round-trips are bit-exact; readers reject anything malformed instead of
-crashing or guessing. Writers replace their target in one step (see
-``write_atomic``), so a failed write never leaves a truncated file.
+crashing or guessing. ``weights_bytes`` and ``samples_bytes`` encode;
+``write_all`` commits a command's outputs together, so a failed write
+leaves no truncated file and no new file beside an old one.
 """
 
 from __future__ import annotations
@@ -80,21 +81,26 @@ class _Reader:
             )
 
 
-def write_atomic(path, data) -> None:
-    """Replace ``path`` with the bytes ``data`` in one step: write a sibling
-    temp file, then ``os.replace`` it over ``path``. If the write fails or
-    the process is interrupted, ``path`` keeps its previous bytes and the
-    temp file is removed. There is no fsync: this guards against a failed
-    or killed process, not against power loss."""
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
+def write_all(outputs) -> None:
+    """Replace each ``path`` of the ``(path, data)`` pairs with its bytes,
+    all or none: write every sibling temp file, then ``os.replace`` each.
+    If a write fails or the process is interrupted before the renames,
+    every temp file is removed and no path changes. A kill between two
+    renames leaves the earlier outputs new and the later ones old; with no
+    fsync, this guards against a failed or killed process, not power loss."""
+    outputs = [(os.fspath(path), data) for path, data in outputs]
+    tmps = []
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, data in outputs:
+            tmps.append(f"{path}.{os.getpid()}.tmp")
+            with open(tmps[-1], "wb") as fh:
+                fh.write(data)
+        for (path, _), tmp in zip(outputs, tmps):
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise
 
 
@@ -117,13 +123,10 @@ def _check_header(r: _Reader, magic: bytes) -> None:
         raise UnsupportedVersionError(f"unsupported format version {version}")
 
 
-def write_weights(path, tensors) -> None:
-    """Write named f64 tensors; ``tensors`` maps name -> ndarray.
-
-    Every tensor is checked before the file is opened, so a rejected
-    tensor (non-finite, or a name or rank the format cannot hold) leaves
-    no file behind.
-    """
+def weights_bytes(tensors) -> bytes:
+    """Encode named f64 tensors; ``tensors`` maps name -> ndarray. A
+    tensor that is non-finite, or has a name or rank the format cannot
+    hold, is a ValueError."""
     items = list(tensors.items())
     chunks = [WEIGHTS_MAGIC, struct.pack("<II", FORMAT_VERSION, len(items))]
     for name, arr in items:
@@ -139,8 +142,14 @@ def write_weights(path, tensors) -> None:
                    struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
                    arr.tobytes()]
     # Tensors run to megabytes: one join of the pieces is ~5x faster than
-    # growing a bytearray (the many small samples of write_samples are not).
-    write_atomic(path, b"".join(chunks))
+    # growing a bytearray (the many small samples of samples_bytes are not).
+    return b"".join(chunks)
+
+
+def write_weights(path, tensors) -> None:
+    """Write named f64 tensors; every one is checked before the file is
+    opened, so a rejected tensor leaves no file behind."""
+    write_all([(path, weights_bytes(tensors))])
 
 
 def read_weights(path) -> dict:
@@ -165,9 +174,9 @@ def read_weights(path) -> dict:
     return tensors
 
 
-def write_samples(path, samples) -> None:
-    """Write skeleton samples; each must expose ``label`` and finite
-    T x J x 3 float ``coords``. All are checked before the file is opened."""
+def samples_bytes(samples) -> bytearray:
+    """Encode skeleton samples; each must expose ``label`` and finite
+    T x J x 3 float ``coords``, else it is a ValueError."""
     blob = bytearray()
     blob += DATASET_MAGIC
     blob += struct.pack("<I", FORMAT_VERSION)
@@ -182,7 +191,12 @@ def write_samples(path, samples) -> None:
             raise ValueError(f"label {s.label} out of u32 range")
         blob += struct.pack("<III", s.label, coords.shape[0], coords.shape[1])
         blob += coords.tobytes()
-    write_atomic(path, blob)
+    return blob
+
+
+def write_samples(path, samples) -> None:
+    """Write skeleton samples; all are checked before the file is opened."""
+    write_all([(path, samples_bytes(samples))])
 
 
 def read_samples(path) -> list:

@@ -1021,6 +1021,13 @@ OVERWRITE_CASES = [
      "error: output path is empty"),
     (["finetune", "model.lrts", "data", "--out", "", *SMALL_TRAIN],
      "error: output path is empty"),
+    (["train", "data", "--out", "t.lrts", "--history", "", *SMALL_MODEL, *SMALL_TRAIN],
+     "error: output path is empty"),
+    (["finetune", "model.lrts", "data", "--out", "f.lrts", "--history", "", *SMALL_TRAIN],
+     "error: output path is empty"),
+    (["compress", "model.lrts", "--plan", "q=1", "--out", "c.lrts", "--report", ""],
+     "error: output path is empty"),
+    (["gen", "--out", "", *SMALL_GEN], "error: output path is empty"),
 ]
 
 
@@ -1059,6 +1066,80 @@ def test_in_place_run_replaces_its_input_weights(workspace, monkeypatch, command
     assert main(argv + ["--out", "copy.lrts"]) == 0
     assert main(argv + ["--out", "model.lrts"]) == 0
     assert model.read_bytes() == (tmp_path / "copy.lrts").read_bytes() != trained
+
+
+# Per command: a run that writes a weights file and its CSV, a change of
+# flags that makes it write other bytes, and the two outputs.
+SECOND_RUNS = {
+    "train": (["train", "data", "--out", "t.lrts", *SMALL_MODEL, *SMALL_TRAIN],
+              ["--seed", "5"], ["t.lrts", "t.lrts.history.csv"]),
+    "finetune": (["finetune", "model.lrts", "data", "--out", "f.lrts", *SMALL_TRAIN],
+                 ["--seed", "5"], ["f.lrts", "f.lrts.history.csv"]),
+    "compress": (["compress", "model.lrts", "--out", "c.lrts", "--plan", "q=1"],
+                 ["--plan", "q=2"], ["c.lrts", "c.lrts.report.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SECOND_RUNS))
+def test_failed_second_write_keeps_the_old_weights_and_csv(
+        workspace, capsys, monkeypatch, command):
+    import lrskel.container as container
+
+    tmp_path, _, _ = workspace
+    monkeypatch.chdir(tmp_path)
+    first, change, outputs = SECOND_RUNS[command]
+    assert main(first) == 0
+    before = _snapshot(tmp_path)
+    writes = []
+
+    def second_write_fails(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "w" in mode:
+            writes.append(path)
+            if len(writes) == 2:
+                fh.write(b"half")
+                fh.close()
+                raise OSError(28, "No space left on device", path)
+        return fh
+
+    monkeypatch.setattr(container, "open", second_write_fails, raising=False)
+    capsys.readouterr()
+    assert main(first + change) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 28] No space left")
+    assert writes == [f"{path}.{os.getpid()}.tmp" for path in outputs]
+    assert _snapshot(tmp_path) == before
+    monkeypatch.undo()
+    monkeypatch.chdir(tmp_path)
+    assert main(first + change) == 0
+    assert all((tmp_path / path).read_bytes() != before[tmp_path / path]
+               for path in outputs)
+
+
+def test_gen_that_cannot_write_its_test_split_keeps_both_old_splits(tmp_path):
+    # The test split is the larger one here, so a file size limit between
+    # the two lets the train split's temp file be written in full.
+    resource = pytest.importorskip("resource")
+    data = tmp_path / "data"
+    spec = ["--classes", "3", "--train-per-class", "1", "--test-per-class", "6",
+            "--frames", "8", "--joints", "2"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--out", str(data), *spec, "--seed", "0"]) == 0
+        assert main(["gen", "--out", str(tmp_path / "seed1"), *spec, "--seed", "1"]) == 0
+    old = {name: (data / name).read_bytes() for name in ("train.lrsk", "test.lrsk")}
+    assert (tmp_path / "seed1" / "train.lrsk").read_bytes() != old["train.lrsk"]
+    limit = (len(old["train.lrsk"]) + len(old["test.lrsk"])) // 2
+    assert len(old["train.lrsk"]) < limit < len(old["test.lrsk"])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lrskel.cli", "gen", "--out", str(data), *spec,
+         "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: [Errno 27] File too large"]
+    assert sorted(os.listdir(data)) == ["test.lrsk", "train.lrsk"]
+    assert {name: (data / name).read_bytes() for name in old} == old
 
 
 # Every output flag of a writing command aims, at random, at a fresh path,

@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 
@@ -13,7 +14,7 @@ from lrskel.container import (
     UnsupportedVersionError,
     read_samples,
     read_weights,
-    write_atomic,
+    write_all,
     write_samples,
     write_weights,
 )
@@ -220,7 +221,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, kind):
         "weights": lambda: write_weights(path, {"x": np.arange(6.0)}),
         "samples": lambda: write_samples(
             path, [SkeletonSample(coords=np.ones((2, 3, 3)), label=1)]),
-        "bytes": lambda: write_atomic(path, b"new contents"),
+        "bytes": lambda: write_all([(path, b"new contents")]),
     }
     path.write_bytes(b"previous contents")
     monkeypatch.setattr(container, "open",
@@ -234,6 +235,39 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, kind):
     writers[kind]()
     assert path.read_bytes() != b"previous contents"
     assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+
+@pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()],
+                         ids=["oserror", "interrupt"])
+def test_write_all_replaces_nothing_when_a_later_write_fails(tmp_path, monkeypatch,
+                                                             error):
+    import lrskel.container as container
+
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.write_bytes(b"old first")
+    second.write_bytes(b"old second")
+    opened = []
+
+    def open_second_fails(*a, **k):
+        fh = open(*a, **k)
+        opened.append(a[0])
+        if len(opened) == 2:
+            fh.write(b"half")
+            fh.close()
+            raise error
+        return fh
+
+    monkeypatch.setattr(container, "open", open_second_fails, raising=False)
+    with pytest.raises(type(error)):
+        write_all([(first, b"new first"), (second, b"new second")])
+    monkeypatch.undo()
+    assert opened == [f"{first}.{os.getpid()}.tmp", f"{second}.{os.getpid()}.tmp"]
+    assert first.read_bytes() == b"old first"
+    assert second.read_bytes() == b"old second"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first", "second"]
+    write_all([(first, b"new first"), (second, b"new second")])
+    assert (first.read_bytes(), second.read_bytes()) == (b"new first", b"new second")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first", "second"]
 
 
 # Fuzzing the readers: every truncation, byte flip or inflated header field
