@@ -69,6 +69,10 @@ MUTANTS = (
      "labels.max() > cfg.classes"),
     ("empty-out-check-skipped", "cli.py", "    if not all(paths)", "    if False"),
     ("empty-history-taken-as-default", "cli.py", "paths[key] is None", "not paths[key]"),
+    ("gen-fresh-folders-kept", "cli.py", "                os.rmdir(folder)",
+     "                pass"),
+    ("out-folder-compared-raw", "cli.py", "    made = made and os.path.normpath(made)",
+     "    made = made"),
     ("same-file-check-bypassed", "cli.py",
      "    if len({real[path] for path in paths}) < len(paths):", "    if False:"),
     ("overwrite-format-check-bypassed", "cli.py",

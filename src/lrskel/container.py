@@ -52,7 +52,7 @@ class _Reader:
         self.pos = 0
 
     def take(self, n: int) -> bytes:
-        if n < 0 or self.pos + n > len(self.data):
+        if self.pos + n > len(self.data):
             raise CorruptContainerError("truncated file")
         chunk = self.data[self.pos:self.pos + n]
         self.pos += n
@@ -125,8 +125,8 @@ def _check_header(r: _Reader, magic: bytes) -> None:
 
 def weights_bytes(tensors) -> bytes:
     """Encode named f64 tensors; ``tensors`` maps name -> ndarray. A
-    tensor that is non-finite, or has a name or rank the format cannot
-    hold, is a ValueError."""
+    tensor that is non-finite, or has a name longer than the format can
+    hold, is a ValueError (numpy itself refuses more than 64 axes)."""
     items = list(tensors.items())
     chunks = [WEIGHTS_MAGIC, struct.pack("<II", FORMAT_VERSION, len(items))]
     for name, arr in items:
@@ -136,8 +136,6 @@ def weights_bytes(tensors) -> bytes:
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise ValueError(f"tensor name too long: {name!r}")
-        if arr.ndim > 0xFF:
-            raise ValueError(f"too many dimensions for tensor {name!r}")
         chunks += [struct.pack("<H", len(encoded)), encoded,
                    struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
                    arr.tobytes()]

@@ -12,9 +12,10 @@ it through the same body, and makes one attention call over a head axis.
 Every op acts on the trailing ``T x d`` axes and takes any leading batch
 axes, so a ``T x d`` input is one sample and a ``B x T x d`` input is a
 mini-batch run through the same body; a weight or bias gradient sums over
-every leading row. Each op computes its output in one place, which also
-returns a single-use :class:`GradTape` whose backward function closes over
-the activations it needs; ``forward`` is that output with the tape dropped.
+every leading row. Each op computes its output in one place, its
+``forward_tape`` (``attention_forward_tape``), which also returns a
+single-use :class:`GradTape` whose backward function closes over the
+activations it needs; ``forward`` is that output with the tape dropped.
 A backward function lists its parameter gradients in ``params()`` order;
 :func:`backward_list`, for every op up to the whole model, checks
 ``grad_out`` and returns that list; :func:`backward` names it. Gradients
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -241,9 +241,12 @@ def softmax_rows_tape(a):
     return s, GradTape(lambda grad_out: (_softmax_adjoint(s, grad_out), []), s.shape)
 
 
-def _attention(q, k, v):
-    """Body of both attention entry points. Neither entry point calls the
-    other, so a traced call to either records one span."""
+def attention_forward(q, k, v) -> np.ndarray:
+    """Scaled dot-product attention: softmax(q @ k.T / sqrt(d_k)) @ v."""
+    return attention_forward_tape(q, k, v)[0]
+
+
+def attention_forward_tape(q, k, v):
     if q.shape[-1] != k.shape[-1]:
         raise ValueError(f"q width {q.shape[-1]} != k width {k.shape[-1]}")
     if k.shape[:-1] != v.shape[:-1]:
@@ -262,15 +265,6 @@ def _attention(q, k, v):
         return (grad_q, grad_k, grad_v), []
 
     return y, GradTape(grad, y.shape)
-
-
-def attention_forward(q, k, v) -> np.ndarray:
-    """Scaled dot-product attention: softmax(q @ k.T / sqrt(d_k)) @ v."""
-    return _attention(q, k, v)[0]
-
-
-def attention_forward_tape(q, k, v):
-    return _attention(q, k, v)
 
 
 @dataclass
@@ -326,7 +320,6 @@ class MhsaBlock:
         return self.heads[0].wq.c_out
 
     @staticmethod
-    @cache
     def projection_names(n_heads) -> tuple:
         """Names of a block's projections in canonical order: each head's
         wq, wk, wv, then wo. Parameter and gradient keys are

@@ -4,7 +4,8 @@ Each sample's frames flatten to a T x 3J feature matrix; a mini-batch is
 those matrices stacked to B x T x 3J and runs through the same body: embed
 to d_model, a stack of multi-head self-attention blocks with residual
 connections, mean-pool over time, and a linear head. Small by design; the
-point is the compression pass, not the architecture.
+point is the compression pass, not the architecture. That body is
+``forward_features_tape``; every forward runs it and drops the tape.
 
 Labelled clips are checked (``check_clips``) and scored (``top1_scorer``)
 here alone; ``forward``, fine-tuning and ``compress.rank_sweep`` use them,
@@ -168,12 +169,15 @@ def sample_features(coords, cfg: ModelConfig) -> np.ndarray:
     return coords.reshape(cfg.frames, cfg.input_width)
 
 
-def _features(model: SkeletonModel, x):
-    """Body of both feature entry points: logits for one sample already
-    flattened to T x 3J (1 x classes) or for a B x T x 3J stack of them
-    (B x classes), and the model's tape: its ``grad_in`` is the gradient of
-    ``x``, its names are ``named_params``. Neither entry point calls the
-    other, so a traced call to either records one span."""
+def forward_features(model: SkeletonModel, x) -> np.ndarray:
+    """Forward one sample already flattened to T x 3J (returns 1 x classes)
+    or a B x T x 3J batch of them (returns B x classes)."""
+    return forward_features_tape(model, x)[0]
+
+
+def forward_features_tape(model: SkeletonModel, x):
+    """``forward_features``'s logits and the model's tape: its ``grad_in``
+    is the gradient of ``x``, its names are ``named_params``."""
     frames = x.shape[-2]
     x, embed_tape = model.embed.forward_tape(x)
     block_tapes = []
@@ -204,16 +208,6 @@ def _features(model: SkeletonModel, x):
 
     logits = logits.reshape(-1, model.config.classes)
     return logits, GradTape(grad, logits.shape, partial(named_params, model))
-
-
-def forward_features(model: SkeletonModel, x) -> np.ndarray:
-    """Forward one sample already flattened to T x 3J (returns 1 x classes)
-    or a B x T x 3J batch of them (returns B x classes)."""
-    return _features(model, x)[0]
-
-
-def forward_features_tape(model: SkeletonModel, x):
-    return _features(model, x)
 
 
 def forward(model: SkeletonModel, samples) -> np.ndarray:

@@ -4,7 +4,8 @@ The tracer in ``benchmarks/spans.py`` hooks lrskel functions and methods by
 name and skips a target it cannot find, so a rename or a method moved out
 of a hooked class would silently drop traced metrics. This test imports
 the tracer read-only and checks every target resolves, and that a traced
-forward of each linear kind records its span.
+forward of each linear kind, of attention and of the model records its
+span once.
 """
 
 import importlib.util
@@ -13,6 +14,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from lrskel import layers, model
 from lrskel.layers import DenseLinear, LowRankLinear
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
@@ -53,3 +55,24 @@ def test_traced_linear_forwards_record_one_span_each(spans):
     assert got["layers.lowrank_calls"] == 1
     # Restored: the hooks leave the classes as they found them.
     assert {cls: dict(vars(cls)) for cls in originals} == originals
+
+
+@pytest.mark.parametrize("entry, span", [
+    ("forward_features", "model.forward_tape"),
+    ("forward_features_tape", "model.forward_tape"),
+    ("attention_forward_tape", "layers.attention"),
+])
+def test_traced_entry_points_record_one_span_each(spans, entry, span):
+    rng = np.random.default_rng(0)
+    if entry.startswith("attention"):
+        owner, args = layers, rng.normal(size=(3, 2, 4, 2))
+    else:
+        net = model.build_model(model.ModelConfig(joints=2, frames=4, d_model=4, heads=2,
+                                                  blocks=1, classes=3, seed=0))
+        owner, args = model, (net, rng.normal(size=(5, 4, 6)))
+    tracer = spans.Tracer()
+    with tracer.unit("pass0"):
+        # Looked up while traced, as lrskel's own calls are, so the hooks apply.
+        getattr(owner, entry)(*args)
+    assert tracer.missing == []
+    assert [tracer.log.strings[i] for i in tracer.log.name].count(span) == 1

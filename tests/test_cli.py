@@ -63,11 +63,13 @@ def test_gen_default_spec_counts(tmp_path, capsys):
 
 
 def test_gen_repeat_identical_files(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    main(["gen", "--out", str(a)] + SMALL_GEN)
-    main(["gen", "--out", str(b)] + SMALL_GEN)
-    assert (a / "train.lrsk").read_bytes() == (b / "train.lrsk").read_bytes()
-    assert (a / "test.lrsk").read_bytes() == (b / "test.lrsk").read_bytes()
+    # The last two name a fresh folder and a fresh nested one with the
+    # trailing separator that shell completion adds.
+    folders = [tmp_path / "a", tmp_path / "b", tmp_path / "c", tmp_path / "d" / "sub"]
+    outs = [str(f) + end for f, end in zip(folders, ["", "", os.sep, os.sep])]
+    assert [main(["gen", "--out", out] + SMALL_GEN) for out in outs] == [0] * 4
+    for name in ("train.lrsk", "test.lrsk"):
+        assert len({(folder / name).read_bytes() for folder in folders}) == 1
 
 
 def test_gen_zero_classes_is_usage_error(tmp_path, capsys):
@@ -1140,6 +1142,22 @@ def test_gen_that_cannot_write_its_test_split_keeps_both_old_splits(tmp_path):
     assert proc.stderr.splitlines() == ["error: [Errno 27] File too large"]
     assert sorted(os.listdir(data)) == ["test.lrsk", "train.lrsk"]
     assert {name: (data / name).read_bytes() for name in old} == old
+
+
+def test_gen_that_cannot_write_removes_only_the_folders_it_made(tmp_path):
+    resource = pytest.importorskip("resource")
+    (tmp_path / "kept").mkdir()
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+               PYTHONDONTWRITEBYTECODE="1")
+    for out in ("fresh/sub", "new/sub/", "kept/sub"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lrskel.cli", "gen", "--out", out, *SMALL_GEN],
+            cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (1, 1)))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: [Errno 27] File too large"]
+    assert os.listdir(tmp_path) == ["kept"]
+    assert os.listdir(tmp_path / "kept") == []
 
 
 # Every output flag of a writing command aims, at random, at a fresh path,
