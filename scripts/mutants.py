@@ -69,10 +69,20 @@ MUTANTS = (
      "labels.max() > cfg.classes"),
     ("empty-out-check-skipped", "cli.py", "    if not all(paths)", "    if False"),
     ("empty-history-taken-as-default", "cli.py", "paths[key] is None", "not paths[key]"),
-    ("gen-fresh-folders-kept", "cli.py", "                os.rmdir(folder)",
-     "                pass"),
-    ("out-folder-compared-raw", "cli.py", "    made = made and os.path.normpath(made)",
-     "    made = made"),
+    ("gen-fresh-folders-kept", "container.py", "_remove(reversed(made), os.rmdir)",
+     "None"),
+    ("dataset-folder-rule-dropped", "cli.py", 'kind != "dataset" and folder', "folder"),
+    ("gen-empty-out-check-skipped", "cli.py", "    if not args.out:", "    if False:"),
+    ("replaced-output-not-put-back", "container.py",
+     "                    os.replace(olds[path], path)", "                    pass"),
+    ("new-output-not-removed", "container.py", "                elif path in olds:",
+     "                elif False:"),
+    ("failed-put-back-backup-removed", "container.py",
+     "olds[path] = None  # not put back", "pass  # not put back"),
+    ("backups-kept", "container.py", "    _remove(filter(None, olds.values()), os.unlink)",
+     "    pass"),
+    ("refused-link-fails-the-write", "container.py",
+     "except OSError:  # no hard link", "except ValueError:  # no hard link"),
     ("same-file-check-bypassed", "cli.py",
      "    if len({real[path] for path in paths}) < len(paths):", "    if False:"),
     ("overwrite-format-check-bypassed", "cli.py",

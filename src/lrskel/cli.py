@@ -147,12 +147,12 @@ def _usage_errors():
         raise UsageError(str(exc)) from exc
 
 
-def _check_out_dirs(args, outputs, made=None):
-    """Admit a command's ``(path, format)`` outputs; ``made`` is a folder it creates."""
+def _check_out_dirs(args, outputs):
+    """Admit a command's ``(path, format)`` outputs; the folder of a
+    dataset may be missing, as ``write_all`` makes it."""
     paths = [path for path, _ in outputs]
-    if not all(paths) or made == "":
+    if not all(paths):
         raise ValueError("output path is empty")
-    made = made and os.path.normpath(made)
     inputs = [(vars(args).get(key), key) for key in ("weights", "grid", "config")]
     if "data" in vars(args):
         inputs += [(path, "dataset") for path in _splits(args.data)]
@@ -165,7 +165,7 @@ def _check_out_dirs(args, outputs, made=None):
             parent = os.path.dirname(parent)
         if parent and not os.path.isdir(parent):
             raise ValueError(f"output directory {parent} is not a directory")
-        if os.path.normpath(folder) not in (os.curdir, made) and not os.path.isdir(folder):
+        if kind != "dataset" and folder and not os.path.isdir(folder):
             raise ValueError(f"output directory {folder} does not exist")
         if os.path.isdir(path):
             raise ValueError(f"output path {path} is a directory")
@@ -201,19 +201,10 @@ def cmd_gen(args):
     with _usage_errors():
         spec = DatasetSpec(**_fields(settings, GEN_DEFAULTS))
         train_samples, test_samples = generate_dataset(spec)
-    _check_out_dirs(args, [(p, "dataset") for p in _splits(args.out)], made=args.out)
-    fresh, folder = [], args.out  # the folders makedirs creates, deepest first
-    while folder and not os.path.exists(folder):
-        fresh.append(folder)
-        folder = os.path.dirname(folder.rstrip(os.sep))
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        write_all(zip(_splits(args.out), map(samples_bytes, (train_samples, test_samples))))
-    except BaseException:
-        for folder in fresh:  # rmdir refuses a last "." or ".." component
-            with contextlib.suppress(OSError):
-                os.rmdir(folder)
-        raise
+    if not args.out:
+        raise ValueError("output path is empty")
+    _check_out_dirs(args, [(p, "dataset") for p in _splits(args.out)])
+    write_all(zip(_splits(args.out), map(samples_bytes, (train_samples, test_samples))))
     print(f"train samples: {len(train_samples)}")
     print(f"test samples: {len(test_samples)}")
     return 0

@@ -83,25 +83,66 @@ class _Reader:
 
 def write_all(outputs) -> None:
     """Replace each ``path`` of the ``(path, data)`` pairs with its bytes,
-    all or none: write every sibling temp file, then ``os.replace`` each.
-    If a write fails or the process is interrupted before the renames,
-    every temp file is removed and no path changes. A kill between two
-    renames leaves the earlier outputs new and the later ones old; with no
-    fsync, this guards against a failed or killed process, not power loss."""
+    all or none: make each missing folder, write every sibling temp file
+    ``<path>.<pid>.tmp``, hard-link each existing path to a backup
+    ``<path>.<pid>.bak``, then ``os.replace`` each temp file over its path.
+
+    If a step raises, or the process is interrupted, each path already
+    replaced gets its backup back (or is removed if it is new), every temp
+    file and backup is removed, then every folder made, deepest first, and
+    the error is re-raised: no path changes. A backup that cannot be put
+    back is kept. Where the file system refuses the hard link, the write
+    goes ahead without that backup, and a later failed rename leaves that
+    path new. A kill leaves its temp files and backups, and a kill between
+    two renames leaves the earlier outputs new and the later ones old; with
+    no fsync, this guards against a failed or killed process, not power
+    loss."""
     outputs = [(os.fspath(path), data) for path, data in outputs]
-    tmps = []
+    made, tmps, olds, replaced = [], [], {}, []
     try:
+        for path, _ in outputs:
+            missing, folder = [], os.path.dirname(path)
+            while folder and not os.path.exists(folder):
+                missing.append(folder)
+                folder = os.path.dirname(folder)
+            for folder in reversed(missing):
+                made.append(folder)
+                os.makedirs(folder, exist_ok=True)
         for path, data in outputs:
             tmps.append(f"{path}.{os.getpid()}.tmp")
             with open(tmps[-1], "wb") as fh:
                 fh.write(data)
+        for path, _ in outputs:
+            backup = f"{path}.{os.getpid()}.bak"
+            try:
+                os.link(path, backup)
+                olds[path] = backup
+            except FileNotFoundError:
+                olds[path] = None
+            except OSError:  # no hard link here: this path cannot be put back
+                pass
         for (path, _), tmp in zip(outputs, tmps):
             os.replace(tmp, path)
+            replaced.append(path)
     except BaseException:
-        for tmp in tmps:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
+        for path in replaced:
+            try:
+                if olds.get(path):
+                    os.replace(olds[path], path)
+                elif path in olds:
+                    os.unlink(path)
+            except OSError:
+                olds[path] = None  # not put back: its backup keeps the old bytes
+        _remove([*tmps, *filter(None, olds.values())], os.unlink)
+        _remove(reversed(made), os.rmdir)  # rmdir refuses a last "." or ".."
         raise
+    _remove(filter(None, olds.values()), os.unlink)
+
+
+def _remove(paths, remove) -> None:
+    for path in paths:
+        with contextlib.suppress(OSError):
+            remove(path)
 
 
 def csv_text(header: str, rows) -> str:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -1109,6 +1110,42 @@ def test_failed_second_write_keeps_the_old_weights_and_csv(
     assert main(first + change) == 1
     assert capsys.readouterr().err.startswith("error: [Errno 28] No space left")
     assert writes == [f"{path}.{os.getpid()}.tmp" for path in outputs]
+    assert _snapshot(tmp_path) == before
+    monkeypatch.undo()
+    monkeypatch.chdir(tmp_path)
+    assert main(first + change) == 0
+    assert all((tmp_path / path).read_bytes() != before[tmp_path / path]
+               for path in outputs)
+
+
+# The same runs, and gen's two splits over those of another seed.
+RENAME_RUNS = {**SECOND_RUNS,
+               "gen": (["gen", "--out", "data", *SMALL_GEN], ["--seed", "10"],
+                       ["data/train.lrsk", "data/test.lrsk"])}
+
+
+@pytest.mark.parametrize("command", sorted(RENAME_RUNS))
+def test_failed_second_rename_puts_the_first_output_back(
+        workspace, capsys, monkeypatch, command):
+    tmp_path, _, _ = workspace
+    monkeypatch.chdir(tmp_path)
+    first, change, outputs = RENAME_RUNS[command]
+    assert main(first) == 0
+    before = _snapshot(tmp_path)
+    renamed, real = [], os.replace
+
+    def second_rename_fails(src, dst):
+        renamed.append(dst)
+        if len(renamed) == 2:
+            raise OSError(errno.EBUSY, "Device or resource busy", dst)
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_rename_fails)
+    capsys.readouterr()
+    assert main(first + change) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [Errno 16] Device or resource busy: '{outputs[1]}'"]
+    assert renamed == [*outputs, outputs[0]]  # the last puts the first back
     assert _snapshot(tmp_path) == before
     monkeypatch.undo()
     monkeypatch.chdir(tmp_path)

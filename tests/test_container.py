@@ -19,6 +19,7 @@ from lrskel.container import (
     write_weights,
 )
 from lrskel.data import SkeletonSample
+from lrskel.model import ModelConfig, build_model, load_model, model_to_tensors, save_model
 
 
 def test_weights_round_trip(tmp_path):
@@ -267,6 +268,116 @@ def test_write_all_replaces_nothing_when_a_later_write_fails(tmp_path, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["first", "second"]
     write_all([(first, b"new first"), (second, b"new second")])
     assert (first.read_bytes(), second.read_bytes()) == (b"new first", b"new second")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first", "second"]
+
+
+def test_write_all_makes_the_missing_folders(tmp_path):
+    write_all([(tmp_path / "a" / "b" / "x", b"x")])
+    assert (tmp_path / "a" / "b" / "x").read_bytes() == b"x"
+    assert [p.name for p in (tmp_path / "a" / "b").iterdir()] == ["x"]
+
+
+@pytest.mark.parametrize("existing", [[], ["a"]], ids=["fresh", "empty-a-exists"])
+def test_failed_write_removes_only_the_folders_it_made(tmp_path, monkeypatch,
+                                                       existing):
+    import lrskel.container as container
+
+    for name in existing:
+        (tmp_path / name).mkdir()
+    opened = []
+
+    def open_second_fails(*a, **k):
+        opened.append(a[0])
+        if len(opened) == 2:
+            raise OSError("disk full")
+        return open(*a, **k)
+
+    monkeypatch.setattr(container, "open", open_second_fails, raising=False)
+    folder = tmp_path / "a" / "b"
+    with pytest.raises(OSError, match="disk full"):
+        write_all([(folder / "x", b"x"), (folder / "y", b"y")])
+    assert len(opened) == 2
+    assert sorted(p.name for p in tmp_path.rglob("*")) == existing
+
+
+def test_save_model_into_a_fresh_folder(tmp_path):
+    model = build_model(ModelConfig(joints=2, frames=3, d_model=4, heads=2,
+                                    blocks=1, classes=2, seed=0))
+    path = tmp_path / "new" / "sub" / "m.lrts"
+    save_model(path, model)
+    loaded = model_to_tensors(load_model(path))
+    assert loaded.keys() == model_to_tensors(model).keys()
+    assert all(np.array_equal(loaded[k], v) for k, v in model_to_tensors(model).items())
+
+
+@pytest.mark.parametrize("error", [OSError("busy"), KeyboardInterrupt()],
+                         ids=["oserror", "interrupt"])
+def test_failed_rename_puts_back_every_replaced_output(tmp_path, monkeypatch, error):
+    # The first output is replaced, the second is new, the third's rename fails.
+    paths = [tmp_path / name for name in ("first", "second", "third")]
+    paths[0].write_bytes(b"old first")
+    paths[2].write_bytes(b"old third")
+    renamed, real = [], os.replace
+
+    def third_rename_fails(src, dst):
+        renamed.append(os.fspath(dst))
+        if len(renamed) == 3:
+            raise error
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", third_rename_fails)
+    with pytest.raises(type(error)):
+        write_all([(path, b"new") for path in paths])
+    monkeypatch.undo()
+    assert renamed == [*map(str, paths), str(paths[0])]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first", "third"]
+    assert (paths[0].read_bytes(), paths[2].read_bytes()) == (b"old first", b"old third")
+
+
+def test_a_backup_that_cannot_be_put_back_is_kept(tmp_path, monkeypatch):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.write_bytes(b"old first")
+    second.write_bytes(b"old second")
+    real = os.replace
+
+    def first_rename_only(src, dst):
+        if dst != str(first) or not src.endswith(".tmp"):
+            raise OSError("busy")
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", first_rename_only)
+    with pytest.raises(OSError, match="busy"):
+        write_all([(first, b"new first"), (second, b"new second")])
+    backup = f"first.{os.getpid()}.bak"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first", backup, "second"]
+    assert (tmp_path / backup).read_bytes() == b"old first"
+    assert second.read_bytes() == b"old second"
+
+
+def test_write_all_goes_ahead_where_hard_links_are_refused(tmp_path, monkeypatch):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.write_bytes(b"old first")
+    second.write_bytes(b"old second")
+
+    def refused(src, dst):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "link", refused)
+    write_all([(first, b"new first"), (second, b"new second")])
+    assert (first.read_bytes(), second.read_bytes()) == (b"new first", b"new second")
+    # Without a backup, a failed later rename cannot put the first back.
+    renamed, real = [], os.replace
+
+    def second_rename_fails(src, dst):
+        renamed.append(dst)
+        if len(renamed) == 2:
+            raise OSError("busy")
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_rename_fails)
+    with pytest.raises(OSError, match="busy"):
+        write_all([(first, b"newer first"), (second, b"newer second")])
+    assert (first.read_bytes(), second.read_bytes()) == (b"newer first", b"new second")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["first", "second"]
 
 
