@@ -1,8 +1,9 @@
 """Run the unit suite against one-line semantic mutants of ``src/lrskel``.
 
 Each mutant replaces one line of one source file. For each mutant, the
-script copies ``src/``, ``tests/``, ``benchmarks/`` and ``pyproject.toml``
-to a temporary directory, applies the mutant there, and runs
+script copies ``src/``, ``tests/``, ``benchmarks/``, ``scripts/`` and
+``pyproject.toml`` to a temporary directory, applies the mutant there,
+and runs
 
     python -m pytest -q -x --ignore tests/test_acceptance.py
 
@@ -113,6 +114,11 @@ MUTANTS = (
      "for w in (0, *range(len(pids) + 1, width))}", "for w in (0,)}"),
     ("sweep-orphan-check-skipped", "compress.py",
      "if parent is not None and os.getppid() != parent:", "if False:"),
+    ("rank-bound-off-by-one", "linalg.py", "    if k > min(shape):",
+     "    if k >= min(shape):"),
+    ("plan-rank-any-digits", "compress.py",
+     "if not (rank_text.isascii() and rank_text.isdigit()):",
+     "if not rank_text.isdigit():"),
 )
 
 
@@ -126,9 +132,9 @@ def _run_suite(tree):
 
 
 def _copy_tree(dest):
-    # The tests read the benchmark tracer, and pyproject.toml puts the
-    # copy's src/ first on the import path.
-    for folder in ("src", "tests", "benchmarks"):
+    # The tests read the benchmark tracer and this script, and
+    # pyproject.toml puts the copy's src/ first on the import path.
+    for folder in ("src", "tests", "benchmarks", "scripts"):
         shutil.copytree(os.path.join(ROOT, folder), os.path.join(dest, folder),
                         ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .container import csv_text
 from .layers import LowRankLinear
-from .linalg import (SvdConvergenceError, check_integer, frobenius,
+from .linalg import (SvdConvergenceError, check_integer, check_rank, frobenius,
                      reconstruction_error, svds, truncate_to_factors)
 from .model import (GROUP_EMBED, GROUP_HEAD, GROUP_K, GROUP_O, GROUP_Q, GROUP_V,
                     SkeletonModel, count_flops, count_params, map_layers,
@@ -80,8 +80,9 @@ class CompressionPlan:
 def parse_plan(text: str) -> CompressionPlan:
     """Parse "group=rank" directives, e.g. ``q=1,k=3,v=full``.
 
-    Group names are case-insensitive; omitted groups stay dense. The empty
-    string and the bare word "full" both mean the identity plan.
+    Group names are case-insensitive, a rank is ASCII decimal digits or
+    "full", and omitted groups stay dense. The empty string and the bare
+    word "full" both mean the identity plan.
     """
     stripped = text.strip()
     if stripped == "" or stripped.lower() == "full":
@@ -104,10 +105,9 @@ def parse_plan(text: str) -> CompressionPlan:
         if rank_text == "full":
             ranks[group] = None
             continue
-        try:
-            rank = int(rank_text)
-        except ValueError:
-            raise PlanParseError(f"bad rank {rank_text!r} in {where}") from None
+        if not (rank_text.isascii() and rank_text.isdigit()):
+            raise PlanParseError(f"bad rank {rank_text!r} in {where}")
+        rank = int(rank_text)
         if rank < 1:
             raise PlanParseError(f"rank must be >= 1 in {where}")
         ranks[group] = rank
@@ -168,11 +168,10 @@ def check_plan(model: SkeletonModel, plan: CompressionPlan) -> None:
                 f"layer {name} in group {group} is already low-rank; "
                 "compress the original dense weights instead"
             )
-        min_dim = min(layer.c_in, layer.c_out)
-        if k > min_dim:
-            raise ValueError(
-                f"rank {k} exceeds min dimension {min_dim} of layer {name}"
-            )
+        try:
+            check_rank(k, (layer.c_in, layer.c_out))
+        except ValueError as exc:
+            raise ValueError(f"{exc} of layer {name}") from None
 
 
 def _truncations(model: SkeletonModel, plans) -> dict:

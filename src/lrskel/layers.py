@@ -20,8 +20,10 @@ A backward function lists its parameter gradients in ``params()`` order;
 :func:`backward_list`, for every op up to the whole model, checks
 ``grad_out`` and returns that list; :func:`backward` names it. Gradients
 are exact analytic adjoints. Inputs are validated where they enter (the
-constructors here, and the model's sample features), not on every internal
-matmul.
+constructors here, a low-rank pair's rank by ``linalg.check_rank``, and the
+model's sample features), not on every internal matmul. Attention's
+operands too: a block's constructor fixes their shapes, and a mismatch in a
+direct call fails in numpy's matmul with its ``ValueError``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, check_rank
 
 
 @dataclass
@@ -184,10 +186,7 @@ class LowRankLinear(_Linear):
             raise ValueError(
                 f"factor ranks disagree: w1 is {self.w1.shape}, w2 is {self.w2.shape}"
             )
-        if self.k > min(self.c_in, self.c_out):
-            raise ValueError(
-                f"rank {self.k} exceeds min(C_in, C_out) = {min(self.c_in, self.c_out)}"
-            )
+        check_rank(self.k, (self.c_in, self.c_out))
         super().__init__(self.factors, bias)
 
     @property
@@ -247,10 +246,6 @@ def attention_forward(q, k, v) -> np.ndarray:
 
 
 def attention_forward_tape(q, k, v):
-    if q.shape[-1] != k.shape[-1]:
-        raise ValueError(f"q width {q.shape[-1]} != k width {k.shape[-1]}")
-    if k.shape[:-1] != v.shape[:-1]:
-        raise ValueError(f"k rows {k.shape[:-1]} != v rows {v.shape[:-1]}")
     scale = 1.0 / math.sqrt(q.shape[-1])
     scores = q @ k.swapaxes(-1, -2)
     scores *= scale

@@ -3,7 +3,9 @@
 Matrices are plain float64 numpy arrays throughout the package. This module
 owns the decomposition used for rank reduction: a full SVD built from
 one-sided Jacobi rotations, plus truncation into a cascaded factor pair and
-the closed-form truncation error.
+the closed-form truncation error. It also holds the admission rules for
+scalars; ``check_rank``, 1 <= k <= min(shape), is the one rank rule of
+plans, low-rank layers and truncations.
 
 The SVD reduces a tall input to its square QR triangle first (Drmac &
 Veselic 2008), then orthogonalises columns in round-robin order (Brent &
@@ -56,6 +58,13 @@ def check_integer(name: str, value, low=None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}")
+
+
+def check_rank(k, shape) -> None:
+    """Raise ValueError unless ``k`` is an integer in [1, min(shape)]."""
+    check_integer("rank", k, 1)
+    if k > min(shape):
+        raise ValueError(f"rank {k} exceeds min dimension {min(shape)}")
 
 
 def check_seed(value) -> None:
@@ -297,7 +306,7 @@ class TruncatedFactors:
 
 def truncate_to_factors(s: SvdResult, k: int) -> TruncatedFactors:
     """Keep the k largest singular values of ``s`` as a factor pair."""
-    _check_rank(s, k)
+    check_rank(k, (len(s.u), len(s.vt)))
     w1 = s.u[:, :k] * s.sigma[:k]
     w2 = s.vt[:k, :].copy()
     return TruncatedFactors(w1=w1, w2=w2)
@@ -306,11 +315,6 @@ def truncate_to_factors(s: SvdResult, k: int) -> TruncatedFactors:
 def reconstruction_error(s: SvdResult, k: int) -> float:
     """Frobenius distance from the decomposed matrix to its rank-k
     truncation: sqrt of the sum of the squared discarded singular values."""
-    _check_rank(s, k)
+    check_rank(k, (len(s.u), len(s.vt)))
     return float(np.sqrt(np.sum(s.sigma[k:] ** 2)))
 
-
-def _check_rank(s: SvdResult, k) -> None:
-    check_integer("rank", k)
-    if not 1 <= k <= s.sigma.size:
-        raise ValueError(f"rank {k} out of range [1, {s.sigma.size}]")

@@ -523,6 +523,18 @@ def test_compress_bad_plan_is_usage_error(workspace, capsys):
     assert code == 2
 
 
+def test_compress_plan_rank_must_be_ascii_digits(workspace, capsys):
+    # int() read "1_0" as 10, "+3" as 3 and an Arabic-Indic three as 3.
+    tmp_path, data, model = workspace
+    out = tmp_path / "c.lrts"
+    for rank in ("1_0", "+3", "\u0663"):
+        assert main(["compress", str(model), "--plan", f"v={rank}",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"usage error: bad --plan: bad rank {rank!r} in directive 1 ('v={rank}')"]
+        assert not out.exists()
+
+
 def test_sweep_grid(workspace, capsys):
     tmp_path, data, model = workspace
     grid = tmp_path / "grid.txt"
@@ -692,6 +704,7 @@ def test_sweep_bad_grid_line_fails_before_any_svd(workspace, capsys, monkeypatch
     cases = (
         ("q=1\nq=9\n", "grid.txt:2: rank 9 exceeds min dimension"),
         ("full\n# comment\nq=\n", "grid.txt:3: bad rank ''"),
+        ("full\nv=1_0\n", "grid.txt:2: bad rank '1_0' in directive 1 ('v=1_0')"),
     )
     for text, message in cases:
         grid.write_text(text)

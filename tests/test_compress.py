@@ -18,6 +18,7 @@ from lrskel.compress import (
     PlanParseError,
     REPORT_HEADER,
     SweepRow,
+    check_plan,
     compress_model,
     parse_plan,
     rank_sweep,
@@ -25,8 +26,10 @@ from lrskel.compress import (
 )
 from lrskel.data import DatasetSpec, SkeletonSample, generate_dataset
 from lrskel.finetune import TrainConfig, evaluate, train
-from lrskel.linalg import frobenius, reconstruction_error, svd
-from lrskel.model import ModelConfig, build_model, count_params, forward, named_layers, named_params
+from lrskel.layers import LowRankLinear
+from lrskel.linalg import frobenius, reconstruction_error, svd, truncate_to_factors
+from lrskel.model import (GROUP_EMBED, ModelConfig, build_model, count_params, forward,
+                          named_layers, named_params)
 
 
 def toy_model(seed=0):
@@ -69,7 +72,8 @@ def test_parse_plan_rejects_zero_rank():
 
 
 def test_parse_plan_rejects_bad_tokens():
-    for text in ("q", "q=x", "zz=3", "q=1,q=2", "q=1,,k=2", "q=-2"):
+    for text in ("q", "q=x", "zz=3", "q=1,q=2", "q=1,,k=2", "q=-2",
+                 "q=1_0", "q=+3", "q=\u0663", "q=\u00b2"):
         with pytest.raises(PlanParseError):
             parse_plan(text)
 
@@ -85,6 +89,38 @@ def test_parse_plan_rejects_bad_tokens():
 def test_plan_rejects_bad_rank_or_unknown_group(ranks, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         CompressionPlan(ranks)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (6, 2), (3, 7)])
+def test_one_rank_rule_for_plans_layers_and_truncations(shape):
+    # A plan on the embedding of a blockless model, a low-rank pair and both
+    # truncations of that layer's SVD take the same ranks, and say the same
+    # words of a rank above the bound.
+    rows, cols = shape
+    low = min(shape)
+    model = build_model(ModelConfig(joints=rows // 3, frames=2, d_model=cols,
+                                    heads=1, blocks=0, classes=2, seed=0))
+    s = svd(model.embed.weight)
+    rng = np.random.default_rng(0)
+    checks = {
+        "plan": lambda k: check_plan(model, CompressionPlan({GROUP_EMBED: k})),
+        "truncate": lambda k: truncate_to_factors(s, k),
+        "recon": lambda k: reconstruction_error(s, k),
+        # A factor pair's rank is its width, so only an int can reach it.
+        "layer": lambda k: LowRankLinear(rng.normal(size=(rows, k)),
+                                         rng.normal(size=(k, cols))),
+    }
+    for k in (0, -1, True, 1.5, low, low + 1):
+        for name, check in checks.items():
+            if name == "layer" and type(k) is not int:
+                continue
+            if k == low:
+                check(k)
+                continue
+            with pytest.raises(ValueError) as info:
+                check(k)
+            if k == low + 1:
+                assert f"rank {k} exceeds min dimension {low}" in str(info.value), name
 
 
 def test_parse_plan_error_mentions_position():
