@@ -1,11 +1,11 @@
 """Run the unit suite against one-line semantic mutants of ``src/lrskel``.
 
 Each mutant replaces one line of one source file. For each mutant, the
-script copies ``src/``, ``tests/``, ``benchmarks/``, ``scripts/`` and
-``pyproject.toml`` to a temporary directory, applies the mutant there,
-and runs
+script copies ``src/``, ``tests/``, ``benchmarks/`` and ``pyproject.toml``
+to a temporary directory, applies the mutant there, and runs
 
-    python -m pytest -q -x --ignore tests/test_acceptance.py
+    python -m pytest -q -x --ignore tests/test_acceptance.py \
+        --ignore tests/test_mutants.py
 
 in that copy, so the checkout itself is never edited. A mutant is killed
 when the suite fails. It survives when the suite passes. Each run takes
@@ -125,19 +125,26 @@ MUTANTS = (
 def _run_suite(tree):
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--ignore", os.path.join("tests", "test_acceptance.py")],
+         "--ignore", os.path.join("tests", "test_acceptance.py"),
+         "--ignore", os.path.join("tests", "test_mutants.py")],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     return proc.returncode == 0, lines[-1] if lines else proc.stderr.strip()
 
 
 def _copy_tree(dest):
-    # The tests read the benchmark tracer and this script, and
-    # pyproject.toml puts the copy's src/ first on the import path.
-    for folder in ("src", "tests", "benchmarks", "scripts"):
+    # The tests read the benchmark tracer, and pyproject.toml puts the
+    # copy's src/ first on the import path.
+    for folder in ("src", "tests", "benchmarks"):
         shutil.copytree(os.path.join(ROOT, folder), os.path.join(dest, folder),
                         ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+
+
+def _hits(lines, old):
+    """Indices of the lines that contain ``old``; a mutant applies when
+    there is exactly one."""
+    return [i for i, line in enumerate(lines) if old in line]
 
 
 def _mutate(tree, path, old, new):
@@ -146,7 +153,7 @@ def _mutate(tree, path, old, new):
     full = os.path.join(tree, PKG, path)
     with open(full) as fh:
         lines = fh.read().split("\n")
-    hits = [i for i, line in enumerate(lines) if old in line]
+    hits = _hits(lines, old)
     if len(hits) != 1:
         return False
     lines[hits[0]] = lines[hits[0]].replace(old, new)

@@ -22,8 +22,8 @@ A backward function lists its parameter gradients in ``params()`` order;
 are exact analytic adjoints. Inputs are validated where they enter (the
 constructors here, a low-rank pair's rank by ``linalg.check_rank``, and the
 model's sample features), not on every internal matmul. Attention's
-operands too: a block's constructor fixes their shapes, and a mismatch in a
-direct call fails in numpy's matmul with its ``ValueError``.
+operands too: a block fixes their shapes; a direct call raises numpy's
+``ValueError`` on a width or row-count mismatch, and batch dims broadcast.
 """
 
 from __future__ import annotations
