@@ -119,6 +119,11 @@ MUTANTS = (
     ("plan-rank-any-digits", "compress.py",
      "if not (rank_text.isascii() and rank_text.isdigit()):",
      "if not rank_text.isdigit():"),
+    ("milestone-rule-dropped", "finetune.py",
+     '            check_integer("milestones entry", m)', "            pass"),
+    ("label-rule-dropped", "model.py", '            check_integer("label", s.label)',
+     "            pass"),
+    ("epoch-rule-dropped", "finetune.py", '    check_integer("epoch", epoch)', "    pass"),
 )
 
 

@@ -18,7 +18,6 @@ epoch is scored, by ``model.check_clips`` and ``model.top1_scorer``.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -45,9 +44,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for m in self.milestones:
-            if isinstance(m, bool) or not (isinstance(m, numbers.Integral) or (
-                    isinstance(m, numbers.Real) and float(m).is_integer())):
-                raise ValueError(f"milestones entry {m!r} is not an integer")
+            check_integer("milestones entry", m)
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
         for name in ("base_lr", "decay_factor"):
             check_number(name, getattr(self, name))
@@ -68,6 +65,7 @@ class TrainConfig:
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     """Learning rate for one epoch: a linear ramp over the warm-up, then
     ``base_lr * decay_factor**(milestones passed)``."""
+    check_integer("epoch", epoch)
     if not 0 <= epoch < cfg.epochs:
         raise ValueError(f"epoch {epoch} out of range [0, {cfg.epochs})")
     if epoch < cfg.warmup_epochs:

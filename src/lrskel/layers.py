@@ -352,10 +352,8 @@ class MhsaBlock:
             for p, cols, outs in layout:
                 second[cols, outs] = p.factors[1] if len(p.factors) > 1 else np.eye(d)
             factors += (second,)
-        bias = None
-        if any(p.bias is not None for p in projections):
-            bias = np.concatenate([np.zeros(d) if p.bias is None else p.bias
-                                   for p in projections])
+        bias = np.concatenate([np.zeros(d) if p.bias is None else p.bias
+                               for p in projections])
         qkv, chain_grad = _chain(factors, bias, x)
         q, k, v = np.split(_split_heads(qkv, 3 * n), 3, axis=-3)
         heads_out, ta = attention_forward_tape(q, k, v)
@@ -364,8 +362,8 @@ class MhsaBlock:
         def grad(grad_out):
             grad_heads, wo_grads = backward_list(to, grad_out)
             grad_qkv, _ = backward_list(ta, _split_heads(grad_heads, n))
-            # The chain's gradients: first factor, then the second factor and
-            # the bias when any projection has one.
+            # The chain's gradients: first factor, then the second factor
+            # when any projection has one, then the stacked bias.
             grad_in, (first, *rest) = chain_grad(
                 _merge_heads(np.concatenate(grad_qkv, axis=-3)))
             grads = []

@@ -219,13 +219,15 @@ def forward(model: SkeletonModel, samples) -> np.ndarray:
 
 
 def check_clips(samples, cfg: ModelConfig, what="evaluation set"):
-    """``(feats, labels)`` for a list of labelled clips, checked here and
-    nowhere else: T x 3J feature matrices and one int64 label array. An empty
-    list, a bad clip or a label out of [0, classes) is a ValueError naming ``what``."""
+    """``(feats, labels)`` of labelled clips, checked here and nowhere else:
+    T x 3J features and int64 labels. An empty list, a bad clip, or a label
+    not an integer or out of [0, classes) is a ValueError naming ``what``."""
     if not samples:
         raise ValueError(f"empty {what}")
     try:
         feats = [sample_features(s.coords, cfg) for s in samples]
+        for s in samples:
+            check_integer("label", s.label)
     except ValueError as exc:
         raise ValueError(f"{exc} in {what}") from None
     labels = np.array([s.label for s in samples], dtype=np.int64)

@@ -418,6 +418,10 @@ def test_rank_sweep_checks_every_plan_before_any_svd(trained_toy, monkeypatch):
          "non-finite"),
         (m, test[:3] + [SkeletonSample(test[0].coords, m.config.classes)], ["q=1"],
          r"label out of range \[0, 4\) in evaluation set"),
+        (m, test[:3] + [SkeletonSample(test[0].coords, 2.7)], ["q=1"],
+         "label must be an integer, got 2.7 in evaluation set"),
+        (m, test[:3] + [SkeletonSample(test[0].coords, True)], ["q=1"],
+         "label must be an integer, got True in evaluation set"),
         (m, test[:3] + [SkeletonSample(test[0].coords[:-1], 0)], ["q=1"],
          r"coords shape \(7, 3, 3\), expected \(8, 3, 3\) in evaluation set"),
     )

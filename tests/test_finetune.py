@@ -74,6 +74,13 @@ def test_lr_epoch_out_of_range():
         lr_at_epoch(SCHEDULE_105, 105)
 
 
+@pytest.mark.parametrize("epoch", [1.5, True])
+def test_lr_epoch_must_be_an_integer(epoch):
+    # A cast to int would give both epoch 1's rate.
+    with pytest.raises(ValueError, match=re.escape(f"epoch must be an integer, got {epoch!r}")):
+        lr_at_epoch(SCHEDULE_105, epoch)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(base_lr=-0.1, epochs=1)
@@ -128,14 +135,18 @@ def test_seed_must_fit_64_bits(seed):
 @pytest.mark.parametrize("entry", [1.9, "2", True, float("inf"), float("nan"), None])
 def test_milestones_must_be_integers(entry):
     # int() alone would turn 1.9 into 1, '2' into 2 and True into 1.
-    with pytest.raises(ValueError, match=re.escape(f"milestones entry {entry!r}")):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"milestones entry must be an integer, got {entry!r}")):
         TrainConfig(base_lr=0.1, epochs=5, milestones=(entry,))
 
 
 def test_integral_milestones_are_kept_as_ints():
-    cfg = TrainConfig(base_lr=0.1, epochs=5, milestones=(np.int64(1), 2.0, 3))
+    cfg = TrainConfig(base_lr=0.1, epochs=5, milestones=(np.int64(1), 2, 3))
     assert cfg.milestones == (1, 2, 3)
     assert all(type(m) is int for m in cfg.milestones)
+    # A float is no integer, whatever its value: the rule of epochs=2.0.
+    with pytest.raises(ValueError, match="milestones entry must be an integer, got 2.0"):
+        TrainConfig(base_lr=0.1, epochs=5, milestones=(np.int64(1), 2.0, 3))
 
 
 def small_setup():
@@ -360,21 +371,36 @@ def test_train_rejects_mismatched_shapes():
         train(model, [], te, TrainConfig(base_lr=0.1, epochs=1))
 
 
-def test_train_rejects_labels_out_of_range():
+BAD_LABELS = [(3, r"label out of range \[0, 3\)"), (-1, r"label out of range \[0, 3\)"),
+              # A cast to int64 would score 2.7 as class 2 and True as class 1.
+              (2.7, "label must be an integer, got 2.7"),
+              (True, "label must be an integer, got True")]
+
+
+def test_train_rejects_labels_out_of_range(monkeypatch):
+    import lrskel.finetune
+
     model, tr, te = small_setup()
-    bad = [SkeletonSample(coords=tr[0].coords, label=3)]
-    with pytest.raises(ValueError):
-        train(model, bad, te, TrainConfig(base_lr=0.1, epochs=1))
+    epochs = []
+    monkeypatch.setattr(lrskel.finetune, "lr_at_epoch",
+                        lambda cfg, epoch: epochs.append(epoch) or 0.1)
+    for label, message in BAD_LABELS:
+        bad = tr[:2] + [SkeletonSample(coords=tr[0].coords, label=label)]
+        with pytest.raises(ValueError, match=f"{message} in training set"):
+            train(model, bad, te, TrainConfig(base_lr=0.1, epochs=1))
+        bad = te[:2] + [SkeletonSample(coords=te[0].coords, label=label)]
+        with pytest.raises(ValueError, match=f"{message} in evaluation set"):
+            train(model, tr, bad, TrainConfig(base_lr=0.1, epochs=1))
+    assert epochs == []
 
 
 def test_evaluate_and_forward_reject_labels_out_of_range():
     model, _, te = small_setup()
-    for label in (3, -1):
+    for label, message in BAD_LABELS:
         bad = te[:2] + [SkeletonSample(coords=te[0].coords, label=label)]
-        with pytest.raises(ValueError,
-                           match=r"label out of range \[0, 3\) in evaluation set"):
+        with pytest.raises(ValueError, match=f"{message} in evaluation set"):
             evaluate(model, bad)
-        with pytest.raises(ValueError, match=r"label out of range \[0, 3\) in batch"):
+        with pytest.raises(ValueError, match=f"{message} in batch"):
             forward(model, bad)
 
 
